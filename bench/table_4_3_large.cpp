@@ -10,7 +10,7 @@
 // sampled entries off by more than 10%.
 //
 // Default runs scaled sizes (n ~ 1024 and ~3000); --full runs the paper's;
-// --smoke runs only the smallest (anchor) example — the CI configuration.
+// --smoke runs only the smallest (anchor) example.
 #include "common.hpp"
 
 using namespace subspar;

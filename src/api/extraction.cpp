@@ -1,7 +1,6 @@
 #include "subspar/extraction.hpp"
 
 #include <cmath>
-#include <cstdio>
 #include <sstream>
 #include <utility>
 
@@ -144,7 +143,6 @@ ExtractionResult Extractor::extract_impl(const ExtractionRequest& request) const
       std::ostringstream w;
       w << "phase '" << name << "': " << hits
         << " iterative attempt(s) hit max_iterations; recovered by the fallback chain";
-      std::fprintf(stderr, "subspar: warning: %s\n", w.str().c_str());
       report.warnings.push_back(w.str());
     }
     if (retries + direct + nonfinite > 0) {

@@ -1,12 +1,16 @@
 // End-to-end low-rank sparsification (§4.2): phase 1 (row basis) + phase 2
 // (fine-to-coarse sweep) + G_w assembly on the conservative pattern.
 //
-// G_w entries are computed by applying the phase-1 representation to the
-// (sparse) columns of Q and projecting onto the locally-interacting basis
-// vectors; no additional black-box solves are consumed. The thesis sketches
-// an O(n log n) local-response data structure for this step — the version
-// here is output-identical and O(n * apply), fast at bench scale (see
-// DESIGN.md §5.5).
+// G_w entries come from the phase-1 representation (eq. 4.16) applied to
+// the columns of Q and projected onto the locally-interacting basis
+// vectors; no additional black-box solves are consumed. The columns of one
+// square are applied as a block: only the source terms of that square and
+// the squares below it are walked (RowBasisRep::apply_block), responses are
+// formed only on the contacts of its local squares (on every contact for
+// the level-2 leftover columns), and each entry block is one small product
+// W_sp' U per row square sp. With bounded ranks the walk of a square costs
+// O(|contacts(s)|), so each level costs O(n) and the assembly O(n log n),
+// against O(n^2) for one full apply per column.
 #pragma once
 
 #include <memory>

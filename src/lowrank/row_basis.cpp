@@ -2,8 +2,8 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <numeric>
 #include <set>
-
 
 #include "linalg/qr.hpp"
 #include "linalg/svd.hpp"
@@ -730,43 +730,61 @@ void RowBasisRep::build_finest(const SubstrateSolver& solver) {
 
 Vector RowBasisRep::apply(const Vector& x) const {
   const QuadTree& tree = *tree_;
-  SUBSPAR_REQUIRE(x.size() == tree.layout().n_contacts());
-  Vector out(x.size());
+  const std::size_t n = tree.layout().n_contacts();
+  SUBSPAR_REQUIRE(x.size() == n);
+  std::vector<std::size_t> row_of(n);
+  std::iota(row_of.begin(), row_of.end(), std::size_t{0});
+  Matrix out(n, 1);
+  for (const SquareId& s : tree.squares(2)) {
+    const auto& ids = contacts(s);
+    Matrix xs(ids.size(), 1);
+    for (std::size_t i = 0; i < ids.size(); ++i) xs(i, 0) = x[ids[i]];
+    apply_block(s, xs, row_of, out);
+  }
+  return out.col(0);
+}
 
-  for (int lev = 2; lev <= tree.max_level(); ++lev) {
-    for (const SquareId& s : tree.squares(lev)) {
-      const auto& ids = contacts(s);
-      const Vector xs = restrict_to(x, ids);
-      const SquareRep& rep = reps_.at(s);
-      Vector cs, os = xs;
-      if (rep.v.cols() > 0) {
-        cs = matvec_t(rep.v, xs);
-        os -= matvec(rep.v, cs);
-      }
-      for (const SquareId& d : tree.interactive(s)) {
-        const auto& dids = contacts(d);
-        Vector id(dids.size());
-        // (G_{d,s} V_s) V_s' x_s ...
-        if (rep.v.cols() > 0) id += matvec(rep.response.at(d), cs);
-        // ... + V_d (G_{s,d} V_d)' (x_s - V_s V_s' x_s)   (eq. 4.16)
-        const SquareRep& drep = reps_.at(d);
-        if (drep.v.cols() > 0 && drep.response.count(s) > 0) {
-          id += matvec(drep.v, matvec_t(drep.response.at(s), os));
-        }
-        for (std::size_t i = 0; i < dids.size(); ++i) out[dids[i]] += id[i];
-      }
+void RowBasisRep::apply_block(const SquareId& s, const Matrix& x,
+                              const std::vector<std::size_t>& row_of, Matrix& out) const {
+  const QuadTree& tree = *tree_;
+  const auto& ids = contacts(s);
+  SUBSPAR_REQUIRE(x.rows() == ids.size() && x.cols() == out.cols());
+  const auto read = [&](const SquareId& d) { return row_of[contacts(d).front()] != kNoRow; };
+  const auto scatter = [&](const SquareId& d, const Matrix& y) {
+    const auto& dids = contacts(d);
+    for (std::size_t i = 0; i < dids.size(); ++i) {
+      double* o = out.row_ptr(row_of[dids[i]]);
+      const double* yi = y.row_ptr(i);
+      for (std::size_t c = 0; c < y.cols(); ++c) o[c] += yi[c];
     }
+  };
+
+  const SquareRep& rep = reps_.at(s);
+  Matrix cs, os = x;
+  if (rep.v.cols() > 0) {
+    cs = matmul_tn(rep.v, x);
+    matmul_add(os, rep.v, cs, -1.0);
+  }
+  for (const SquareId& d : tree.interactive(s)) {
+    if (!read(d)) continue;
+    Matrix y(contacts(d).size(), x.cols());
+    // (G_{d,s} V_s) V_s' x_s ...
+    if (rep.v.cols() > 0) matmul_add(y, rep.response.at(d), cs);
+    // ... + V_d (G_{s,d} V_d)' (x_s - V_s V_s' x_s)   (eq. 4.16)
+    const SquareRep& drep = reps_.at(d);
+    const auto it = drep.response.find(s);
+    if (drep.v.cols() > 0 && it != drep.response.end())
+      matmul_add(y, drep.v, matmul_tn(it->second, os));
+    scatter(d, y);
   }
 
-  for (const SquareId& s : tree.squares(tree.max_level())) {
-    const Vector xs = restrict_to(x, contacts(s));
-    for (const SquareId& q : tree.local(s)) {
-      const auto& qids = contacts(q);
-      const Vector iq = matvec(finest_g_.at({q, s}), xs);
-      for (std::size_t i = 0; i < qids.size(); ++i) out[qids[i]] += iq[i];
-    }
+  if (s.level == tree.max_level()) {
+    for (const SquareId& q : tree.local(s))
+      if (read(q)) scatter(q, matmul(finest_g_.at({q, s}), x));
+    return;
   }
-  return out;
+  for (const SquareId& c : tree.children(s))
+    apply_block(c, restrict_rows(x, positions_in(contacts(c), ids)), row_of, out);
 }
 
 }  // namespace subspar

@@ -76,8 +76,23 @@ class RowBasisRep {
   /// trajectory). 0 on a healthy build and always 0 for kColumnSampling.
   long rbk_fallback_squares() const { return rbk_fallback_squares_; }
 
-  /// Approximate G v through the multilevel representation (§4.3.2).
+  /// Approximate G v through the multilevel representation (§4.3.2): the
+  /// apply_block walks of the level-2 squares, which cover every square once.
   Vector apply(const Vector& v) const;
+
+  /// Row-map entry of a contact that apply_block does not write.
+  static constexpr std::size_t kNoRow = static_cast<std::size_t>(-1);
+
+  /// Adds the approximate response G X to `out` for a block X whose columns
+  /// are supported on square s (rows ordered like contacts(s)). Only the
+  /// eq. 4.16 source terms of s and the squares below it are walked; the
+  /// terms of the ancestors of s land in their interactive squares only, so
+  /// the result equals apply() on the contacts of the local squares of s
+  /// (on every contact for a level-2 s). Contact c accumulates into row
+  /// row_of[c] of `out`; a destination square whose contacts map to kNoRow
+  /// is skipped, so callers map or skip whole squares.
+  void apply_block(const SquareId& s, const Matrix& x, const std::vector<std::size_t>& row_of,
+                   Matrix& out) const;
 
   /// Row basis V_s (rows ordered like contacts(s)).
   const Matrix& v(const SquareId& s) const;

@@ -7,9 +7,8 @@
 // coarse sweep of §4.4 keeps the same "local" interactions.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "linalg/sparse.hpp"
@@ -37,32 +36,44 @@ class WaveletPattern {
 
 /// Accumulates measurements of entries of a symmetric matrix; entries
 /// estimated from both directions (i response to j, j response to i) are
-/// averaged, preserving symmetry of the assembled result.
+/// averaged, preserving symmetry of the assembled result. Measurements are
+/// kept as flat (entry, value) records until build().
 class SymmetricEntryAccumulator {
  public:
   explicit SymmetricEntryAccumulator(std::size_t n) : n_(n) {}
 
   void record(std::size_t i, std::size_t j, double v) {
-    const std::size_t a = std::min(i, j), b = std::max(i, j);
-    auto& slot = acc_[a * n_ + b];
-    slot.first += v;
-    ++slot.second;
+    records_.push_back({std::min(i, j) * n_ + std::max(i, j), v});
   }
 
-  SparseMatrix build() const {
+  /// Assembles the averaged entries and releases the records. The stable
+  /// sort keeps each entry's measurements in record order, so every sum is
+  /// the same sequence of additions as accumulating them in place.
+  SparseMatrix build() {
+    std::stable_sort(records_.begin(), records_.end(),
+                     [](const Record& a, const Record& b) { return a.key < b.key; });
     SparseBuilder builder(n_, n_);
-    for (const auto& [key, slot] : acc_) {
+    for (std::size_t r = 0; r < records_.size();) {
+      const std::size_t key = records_[r].key;
+      double sum = 0.0;
+      std::size_t count = 0;
+      for (; r < records_.size() && records_[r].key == key; ++r, ++count) sum += records_[r].value;
       const std::size_t i = key / n_, j = key % n_;
-      const double v = slot.first / static_cast<double>(slot.second);
+      const double v = sum / static_cast<double>(count);
       builder.add(i, j, v);
       if (i != j) builder.add(j, i, v);
     }
+    std::vector<Record>().swap(records_);
     return SparseMatrix(builder);
   }
 
  private:
+  struct Record {
+    std::size_t key;  ///< min(i, j) * n + max(i, j)
+    double value;
+  };
   std::size_t n_;
-  std::unordered_map<std::size_t, std::pair<double, int>> acc_;
+  std::vector<Record> records_;
 };
 
 /// All non-empty squares in the subtree rooted at `t` (including t), i.e.
