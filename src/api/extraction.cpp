@@ -29,7 +29,7 @@ bool sparse_all_finite(const SparseMatrix& m) {
 
 void validate(const ExtractionRequest& request) {
   SUBSPAR_REQUIRE(request.moment_order >= 0);
-  // (0, 1] would be a silent no-op under the old facade; reject it.
+  // A multiple in (0, 1] would threshold nothing; reject it.
   SUBSPAR_REQUIRE(request.threshold_sparsity_multiple == 0.0 ||
                   request.threshold_sparsity_multiple > 1.0);
   SUBSPAR_REQUIRE(request.lowrank.max_rank >= 1);

@@ -7,14 +7,12 @@
 
 #include "circuit/netlist.hpp"
 #include "circuit/simulator.hpp"
-#include "core/extractor.hpp"
 #include "geometry/layout_gen.hpp"
 #include "linalg/cholesky.hpp"
 #include "linalg/eig_sym.hpp"
-#include "linalg/lanczos.hpp"
 #include "substrate/eigen_solver.hpp"
 #include "substrate/solver.hpp"
-#include "util/rng.hpp"
+#include "subspar/extraction.hpp"
 
 namespace subspar {
 namespace {
@@ -120,7 +118,7 @@ TEST(CircuitSim, SparsifiedCouplingMatchesDenseCoupling) {
   const SurfaceSolver solver(layout, paper_stack());
   const QuadTree tree(layout);
   const Matrix g = extract_dense(solver);
-  const SparsifiedModel model = extract_sparsified(solver, tree);
+  const SparsifiedModel model = Extractor(solver, tree).extract().model;
 
   auto build = [&](const std::function<Vector(const Vector&)>& coupling, Netlist& nl) {
     std::vector<NodeId> nodes;
@@ -296,25 +294,9 @@ TEST(CircuitSim, TransientStimulusInjection) {
   EXPECT_NEAR(tr.probe_voltages[15][0], -0.1, 1e-6);
 }
 
-TEST(Lanczos, RecoversSpectrumOfKnownMatrix) {
-  Rng rng(5);
-  const std::size_t n = 40;
-  Matrix b(n, n);
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = 0; j < n; ++j) b(i, j) = rng.normal();
-  Matrix a = matmul_tn(b, b);
-  for (std::size_t i = 0; i < n; ++i) a(i, i) += 1.0;
-  const EigSym dec = eig_sym(a);
-  const SpectrumEstimate est =
-      lanczos_extremes([&](const Vector& v) { return matvec(a, v); }, n, 40);
-  EXPECT_NEAR(est.lambda_max, dec.values[n - 1], 1e-6 * dec.values[n - 1]);
-  EXPECT_NEAR(est.lambda_min, dec.values[0], 0.05 * dec.values[0]);
-}
-
 TEST(Lanczos, PreconditioningCompressesSpectrum) {
   // cond(M^{-1}A) << cond(A) for a good preconditioner — the mechanism
   // behind Table 2.1, checked on a 1-D chain with its exact inverse.
-  Rng rng(6);
   const std::size_t n = 64;
   Matrix a(n, n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -322,13 +304,24 @@ TEST(Lanczos, PreconditioningCompressesSpectrum) {
     if (i > 0) a(i, i - 1) = -1.0;
     if (i + 1 < n) a(i, i + 1) = -1.0;
   }
-  const SpectrumEstimate plain =
-      lanczos_extremes([&](const Vector& v) { return matvec(a, v); }, n, 60);
+  const auto condition = [](const Matrix& m) {
+    const EigSym e = eig_sym(m);
+    return e.values[e.values.size() - 1] / e.values[0];
+  };
+  // M = L L' symmetrically applied: L^{-1} A L^{-T} has the spectrum of
+  // M^{-1} A and stays symmetric for eig_sym.
   const Cholesky chol(a);
-  const SpectrumEstimate prec = lanczos_extremes(
-      [&](const Vector& v) { return chol.solve(matvec(a, v)); }, n, 20);
-  EXPECT_GT(plain.condition(), 100.0);
-  EXPECT_LT(prec.condition(), 1.5);
+  const Matrix& l = chol.lower();
+  Matrix linv = Matrix::identity(n);
+  for (std::size_t j = 0; j < n; ++j)
+    for (std::size_t i = 0; i < n; ++i) {
+      double s = linv(i, j);
+      for (std::size_t t = 0; t < i; ++t) s -= l(i, t) * linv(t, j);
+      linv(i, j) = s / l(i, i);
+    }
+  const Matrix prec = matmul_nt(matmul(linv, a), linv);
+  EXPECT_GT(condition(a), 100.0);
+  EXPECT_LT(condition(prec), 1.5);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
-// Tests for the facade (core/extractor) and shared reporting: end-to-end
-// extraction with both methods, fast apply fidelity, thresholding option,
-// and the error-metric helpers.
+// Tests for the SparsifiedModel and shared reporting: end-to-end extraction
+// with both methods through the Extractor, fast apply fidelity,
+// thresholding option, and the error-metric helpers.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -8,12 +8,12 @@
 #include <string>
 #include <vector>
 
-#include "core/extractor.hpp"
 #include "core/io.hpp"
 #include "core/report.hpp"
 #include "geometry/layout_gen.hpp"
 #include "substrate/eigen_solver.hpp"
 #include "substrate/solver.hpp"
+#include "subspar/extraction.hpp"
 #include "util/rng.hpp"
 
 namespace subspar {
@@ -25,13 +25,16 @@ struct CoreFixture {
   SurfaceSolver solver;
   explicit CoreFixture(Layout l)
       : layout(std::move(l)), tree(layout), solver(layout, paper_stack()) {}
+  SparsifiedModel extract(const ExtractionRequest& request = {}) const {
+    return Extractor(solver, tree).extract(request).model;
+  }
 };
 
 TEST(Extractor, LowRankModelAppliesAccurately) {
   CoreFixture f(regular_grid_layout(8));
   const Matrix g = extract_dense(f.solver);
   f.solver.reset_solve_count();
-  const SparsifiedModel model = extract_sparsified(f.solver, f.tree);
+  const SparsifiedModel model = f.extract();
   Rng rng(1);
   Vector v(f.layout.n_contacts());
   for (auto& x : v) x = rng.normal();
@@ -43,8 +46,7 @@ TEST(Extractor, LowRankModelAppliesAccurately) {
 TEST(Extractor, WaveletModelAppliesAccurately) {
   CoreFixture f(regular_grid_layout(8));
   const Matrix g = extract_dense(f.solver);
-  const SparsifiedModel model =
-      extract_sparsified(f.solver, f.tree, {.method = SparsifyMethod::kWavelet});
+  const SparsifiedModel model = f.extract({.method = SparsifyMethod::kWavelet});
   Rng rng(2);
   Vector v(f.layout.n_contacts());
   for (auto& x : v) x = rng.normal();
@@ -54,15 +56,14 @@ TEST(Extractor, WaveletModelAppliesAccurately) {
 
 TEST(Extractor, ThresholdOptionIncreasesSparsity) {
   CoreFixture f(regular_grid_layout(16));
-  const SparsifiedModel plain = extract_sparsified(f.solver, f.tree);
-  const SparsifiedModel thresholded =
-      extract_sparsified(f.solver, f.tree, {.threshold_sparsity_multiple = 6.0});
+  const SparsifiedModel plain = f.extract();
+  const SparsifiedModel thresholded = f.extract({.threshold_sparsity_multiple = 6.0});
   EXPECT_GT(thresholded.gw_sparsity_factor(), 5.0 * plain.gw_sparsity_factor());
 }
 
 TEST(Extractor, SummaryMentionsKeyMetrics) {
   CoreFixture f(regular_grid_layout(8));
-  const SparsifiedModel model = extract_sparsified(f.solver, f.tree);
+  const SparsifiedModel model = f.extract();
   const std::string s = model.summary();
   EXPECT_NE(s.find("solves"), std::string::npos);
   EXPECT_NE(s.find("sparsity"), std::string::npos);
@@ -70,10 +71,8 @@ TEST(Extractor, SummaryMentionsKeyMetrics) {
 
 TEST(Extractor, MomentOrderRespectedForWavelet) {
   CoreFixture f(regular_grid_layout(8));
-  const SparsifiedModel p0 = extract_sparsified(
-      f.solver, f.tree, {.method = SparsifyMethod::kWavelet, .moment_order = 0});
-  const SparsifiedModel p2 = extract_sparsified(
-      f.solver, f.tree, {.method = SparsifyMethod::kWavelet, .moment_order = 2});
+  const SparsifiedModel p0 = f.extract({.method = SparsifyMethod::kWavelet, .moment_order = 0});
+  const SparsifiedModel p2 = f.extract({.method = SparsifyMethod::kWavelet, .moment_order = 2});
   // Fewer constraints -> fewer leftover V vectors -> different structure;
   // both remain valid orthogonal transforms of the same size.
   EXPECT_EQ(p0.q().rows(), p2.q().rows());
@@ -83,7 +82,7 @@ TEST(Extractor, MomentOrderRespectedForWavelet) {
 TEST(Report, ReconstructColumnMatchesDenseProduct) {
   CoreFixture f(regular_grid_layout(4));
   const Matrix g = extract_dense(f.solver);
-  const SparsifiedModel model = extract_sparsified(f.solver, f.tree);
+  const SparsifiedModel model = f.extract();
   const Vector col = reconstruct_column(model.q(), model.gw(), 3);
   Vector e(f.layout.n_contacts());
   e[3] = 1.0;
@@ -103,7 +102,7 @@ TEST(Report, DirectThresholdKeepsFractionSemantics) {
 TEST(Report, ErrorStatsCountEntries) {
   CoreFixture f(regular_grid_layout(4));
   const Matrix g = extract_dense(f.solver);
-  const SparsifiedModel model = extract_sparsified(f.solver, f.tree);
+  const SparsifiedModel model = f.extract();
   const ErrorStats full = reconstruction_error(model.q(), model.gw(), g);
   EXPECT_EQ(full.entries, f.layout.n_contacts() * f.layout.n_contacts());
   const std::vector<std::size_t> cols{0, 5};
@@ -115,8 +114,7 @@ TEST(Report, ErrorStatsCountEntries) {
 
 TEST(ModelIo, SaveLoadRoundTripsExactly) {
   CoreFixture f(regular_grid_layout(8));
-  const SparsifiedModel model =
-      extract_sparsified(f.solver, f.tree, {.threshold_sparsity_multiple = 4.0});
+  const SparsifiedModel model = f.extract({.threshold_sparsity_multiple = 4.0});
   const std::string path = "/tmp/subspar_model_test.txt";
   save_model(path, model);
   const SparsifiedModel loaded = load_model(path);
@@ -170,7 +168,7 @@ void expect_load_error(const std::string& path, const std::string& needle) {
 TEST(ModelIo, LoadRejectsTruncatedFilesNamingTheSection) {
   using namespace io_fixtures;
   CoreFixture f(regular_grid_layout(4));
-  const SparsifiedModel model = extract_sparsified(f.solver, f.tree);
+  const SparsifiedModel model = f.extract();
   const std::string path = "/tmp/subspar_model_trunc.txt";
   save_model(path, model);
   const std::string v2 = read_file(path);
@@ -223,7 +221,7 @@ TEST(ModelIo, LoadRejectsTruncatedFilesNamingTheSection) {
 TEST(ModelIo, LoadRejectsBitFlippedFields) {
   using namespace io_fixtures;
   CoreFixture f(regular_grid_layout(4));
-  const SparsifiedModel model = extract_sparsified(f.solver, f.tree);
+  const SparsifiedModel model = f.extract();
   const std::string path = "/tmp/subspar_model_flip.txt";
   save_model(path, model);
   const std::string v2 = read_file(path);
@@ -313,7 +311,7 @@ class MethodSweep : public ::testing::TestWithParam<SparsifyMethod> {};
 
 TEST_P(MethodSweep, ModelsAreSymmetricOperators) {
   CoreFixture f(irregular_layout(8, 0.6, 5));
-  const SparsifiedModel model = extract_sparsified(f.solver, f.tree, {.method = GetParam()});
+  const SparsifiedModel model = f.extract({.method = GetParam()});
   Rng rng(7);
   Vector a(f.layout.n_contacts()), b(f.layout.n_contacts());
   for (auto& x : a) x = rng.normal();
