@@ -47,8 +47,9 @@ struct ExtractionRequest {
   ProgressCallback progress;
   /// Optional cooperative cancellation/deadline token. The Extractor
   /// installs it for the duration of the pipeline and checks it at phase
-  /// boundaries, at every black-box solve batch, and inside the pcg_block /
-  /// RBK iteration loops; a tripped token surfaces as
+  /// boundaries, at every black-box solve batch (block-Krylov rounds are
+  /// cancelled at their solve_many batches), and inside the pcg_block
+  /// iteration loop; a tripped token surfaces as
   /// ErrorCode::kCancelled / kDeadlineExceeded. Observational only —
   /// excluded from cache keys, like `progress`.
   std::shared_ptr<CancelToken> cancel;

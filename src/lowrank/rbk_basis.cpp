@@ -1,33 +1,9 @@
 #include "lowrank/rbk_basis.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 #include "linalg/qr.hpp"
-#include "linalg/svd.hpp"
-#include "substrate/solver.hpp"
-#include "util/cancel.hpp"
-#include "util/check.hpp"
 #include "util/rng.hpp"
 
 namespace subspar {
-
-std::size_t rbk_adaptive_rank(const Vector& sigma, double target_tol, std::size_t max_rank,
-                              std::size_t dim) {
-  SUBSPAR_REQUIRE(target_tol > 0.0);
-  double total = 0.0;
-  for (const double s : sigma) total += s * s;
-  if (total == 0.0) return 0;
-  const std::size_t cap = std::min(max_rank, dim);
-  const double budget = target_tol * target_tol * total;
-  double tail = total;
-  for (std::size_t r = 0; r < sigma.size(); ++r) {
-    if (r >= cap) return cap;
-    if (tail <= budget) return r;
-    tail -= sigma[r] * sigma[r];
-  }
-  return std::min(sigma.size(), cap);
-}
 
 double rbk_subspace_residual(const Matrix& v, const Matrix& samples) {
   const double total = samples.frobenius_norm();
@@ -67,75 +43,6 @@ std::uint64_t rbk_stream_seed(std::uint64_t seed, int level, int round, int ix, 
   mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(ix)));
   mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(iy)));
   return z;
-}
-
-RbkRange rbk_range(const std::function<Matrix(const Matrix&)>& apply_many, std::size_t n,
-                   const RbkOptions& options, std::size_t max_rank, std::uint64_t seed) {
-  SUBSPAR_REQUIRE(n > 0 && options.block_size >= 1 && options.max_iters >= 1);
-  SUBSPAR_REQUIRE(options.target_tol > 0.0 && options.target_tol < 1.0);
-  const std::size_t b = std::min(options.block_size, n);
-
-  RbkRange out;
-  Matrix samples(n, 0);
-
-  const auto record = [&](int round, std::size_t probes, double residual) {
-    RbkStep step;
-    step.level = 0;
-    step.round = round;
-    step.probe_columns = probes;
-    step.active_blocks = 1;
-    step.max_rank = out.basis.cols();
-    step.mean_rank = static_cast<double>(out.basis.cols());
-    step.max_residual = residual;
-    out.trajectory.push_back(step);
-  };
-
-  // Round 0: the Gaussian sketch.
-  {
-    const Matrix omega = rbk_gaussian_probes(n, b, rbk_stream_seed(seed, 0, 0, 0, 0));
-    const Matrix y = apply_many(omega);
-    out.applies += omega.cols();
-    samples = Matrix::hcat(samples, y);
-    const Svd dec = svd(samples);
-    const std::size_t r = rbk_adaptive_rank(dec.sigma, options.target_tol, max_rank, n);
-    out.basis = dec.u.block(0, 0, n, r);
-    record(0, omega.cols(), 1.0);
-  }
-
-  // Krylov rounds: probe [V | fresh Gaussian block]. The V columns push the
-  // sketch one power of G deeper (V spans previous responses, so G V adds
-  // G^2-filtered directions); the fresh Gaussian columns supply the
-  // independent responses the residual certificate is measured on.
-  for (std::size_t round = 1; round <= options.max_iters; ++round) {
-    // Each Krylov round consumes a batch of black-box solves; checking here
-    // (in addition to the per-solve checkpoint) keeps a cancelled sketch
-    // from launching the next round's probe block.
-    cancellation_point("rbk-range");
-    const Matrix fresh =
-        rbk_gaussian_probes(n, b, rbk_stream_seed(seed, 0, static_cast<int>(round), 0, 0));
-    const Matrix probes = Matrix::hcat(out.basis, fresh);
-    const Matrix y = apply_many(probes);
-    out.applies += probes.cols();
-    const Matrix y_fresh = y.block(0, out.basis.cols(), n, fresh.cols());
-    const double residual = rbk_subspace_residual(out.basis, y_fresh);
-    samples = Matrix::hcat(samples, y);
-    if (residual <= options.target_tol) {
-      record(static_cast<int>(round), probes.cols(), residual);
-      out.converged = true;
-      return out;
-    }
-    const Svd dec = svd(samples);
-    const std::size_t r = rbk_adaptive_rank(dec.sigma, options.target_tol, max_rank, n);
-    out.basis = dec.u.block(0, 0, n, r);
-    record(static_cast<int>(round), probes.cols(), residual);
-  }
-  return out;
-}
-
-RbkRange rbk_range(const SubstrateSolver& solver, const RbkOptions& options,
-                   std::size_t max_rank, std::uint64_t seed) {
-  return rbk_range([&](const Matrix& x) { return solver.solve_many(x); },
-                   solver.n_contacts(), options, max_rank, seed);
 }
 
 }  // namespace subspar

@@ -1,4 +1,4 @@
-// Randomized block-Krylov row-basis machinery (ROADMAP item 1).
+// Randomized block-Krylov row-basis machinery.
 //
 // The deterministic column-sampling construction of §4.3.3 fixes its sample
 // budget up front (one random vector per interactive square) and fills every
@@ -6,34 +6,31 @@
 // replaces that with an adaptive loop in the Halko–Martinsson–Tropp /
 // block-Lanczos family: draw a seeded Gaussian block Omega, push it through
 // the black-box operator G (SubstrateSolver::solve_many at level 2, the
-// combine-solve splitting method on finer levels), QR re-orthogonalize
-// between steps, and stop each block as soon as a residual-norm estimate
-// certifies that the captured subspace reproduces fresh responses to the
-// target tolerance. Two structural savings over column sampling fall out:
+// combine-solve splitting method on finer levels), and stop each block as
+// soon as a residual-norm estimate certifies that the captured subspace
+// reproduces fresh responses to the target tolerance. Ranks are chosen by
+// the same singular-value ratio test as column sampling
+// (LowRankOptions::sigma_rel_tol); the certificate only decides when a
+// block stops refining. Two structural savings over column sampling fall
+// out:
 //
 //  * blocks whose voltage space is no larger than the rank cap take the
 //    exact identity basis and skip the sampling pass entirely (on the
 //    paper's grids this removes every sample solve below the second level);
-//  * ranks are chosen per block from the certified residual instead of
-//    being tol-filled to the cap, trimming the basis-response solves.
+//  * a block whose sketch certifies in one round records its basis
+//    responses in that same round, so certification costs no extra solves.
 //
-// This header provides the generic adaptive range finder (`rbk_range`, used
-// directly against a SubstrateSolver and unit-tested against dense SVDs)
-// plus the option/trajectory types shared with the multilevel driver in
-// row_basis.cpp.
+// This header provides the probe, seed and certification helpers plus the
+// option/trajectory types; the multilevel driver is RowBasisRep
+// (row_basis.cpp).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <vector>
 
 #include "linalg/matrix.hpp"
-#include "linalg/vector.hpp"
 
 namespace subspar {
-
-class SubstrateSolver;
 
 /// How RowBasisRep builds the per-square row bases V_s (phase 1, §4.3).
 enum class RowBasisScheme {
@@ -68,11 +65,10 @@ struct RbkOptions {
   double target_tol = 5e-3;
 };
 
-/// One sketch round of one quadtree level (or of one `rbk_range` call,
-/// where `level` is 0) — the adaptive rank trajectory reported through
-/// ExtractionReport.
+/// One sketch round of one quadtree level — the adaptive rank trajectory
+/// reported through ExtractionReport.
 struct RbkStep {
-  int level = 0;                  ///< quadtree level (0 for rbk_range)
+  int level = 0;                  ///< quadtree level
   int round = 0;                  ///< 0 = Gaussian sketch, >= 1 = Krylov round
   std::size_t probe_columns = 0;  ///< black-box solve cost of the round
   std::size_t active_blocks = 0;  ///< blocks still unconverged entering it
@@ -80,12 +76,6 @@ struct RbkStep {
   double mean_rank = 0.0;         ///< mean basis rank after the round
   double max_residual = 0.0;      ///< worst certification residual observed
 };
-
-/// Adaptive rank choice: the smallest r whose singular-value tail satisfies
-/// sqrt(sum_{i>r} sigma_i^2) <= target_tol * sqrt(sum_i sigma_i^2), capped
-/// at max_rank and dim. Returns 0 for an all-zero spectrum.
-std::size_t rbk_adaptive_rank(const Vector& sigma, double target_tol, std::size_t max_rank,
-                              std::size_t dim);
 
 /// Certification residual ||S - V V' S||_F / ||S||_F of fresh samples S
 /// against an orthonormal basis V (0 when S is all-zero; 1 when V is empty
@@ -99,28 +89,5 @@ Matrix rbk_gaussian_probes(std::size_t rows, std::size_t cols, std::uint64_t see
 /// Deterministic per-(seed, level, round, block) stream seed, independent
 /// of which other blocks participate in the round.
 std::uint64_t rbk_stream_seed(std::uint64_t seed, int level, int round, int ix, int iy);
-
-/// Result of the generic adaptive range finder.
-struct RbkRange {
-  Matrix basis;                    ///< n x r, orthonormal columns
-  std::vector<RbkStep> trajectory; ///< one entry per completed round
-  std::size_t applies = 0;         ///< operator columns consumed
-  bool converged = false;          ///< residual stop reached within max_iters
-};
-
-/// Adaptive randomized block-Krylov range finder for a symmetric operator
-/// on R^n given as a batched apply (X -> G X, matching
-/// SubstrateSolver::solve_many). Draws a Gaussian block, then alternates
-/// (QR re-orthogonalized) Krylov rounds probing [V | fresh Gaussian block]
-/// until the fresh responses certify V to options.target_tol or max_iters
-/// rounds have run. Deterministic for a fixed seed and bit-identical across
-/// SUBSPAR_THREADS.
-RbkRange rbk_range(const std::function<Matrix(const Matrix&)>& apply_many, std::size_t n,
-                   const RbkOptions& options, std::size_t max_rank, std::uint64_t seed);
-
-/// Convenience overload sketching a SubstrateSolver's conductance operator
-/// through solve_many (counts toward the solver's solve budget).
-RbkRange rbk_range(const SubstrateSolver& solver, const RbkOptions& options,
-                   std::size_t max_rank, std::uint64_t seed);
 
 }  // namespace subspar

@@ -1,7 +1,6 @@
 #include "lowrank/row_basis.hpp"
 #include <algorithm>
 #include <cmath>
-#include <memory>
 #include <numeric>
 #include <set>
 
@@ -56,49 +55,14 @@ RowBasisRep::RowBasisRep(const SubstrateSolver& solver, const QuadTree& tree,
     : tree_(&tree), options_(options) {
   SUBSPAR_REQUIRE(options.max_rank >= 1);
   const long before = solver.solve_count();
-  if (options_.basis == RowBasisScheme::kBlockKrylov) {
-    // Level 2 probes solve directly (responses are full contact vectors);
-    // finer levels go through the splitting method like the deterministic
-    // build. Phase-2 machinery (finest W blocks) is shared.
-    build_rbk_level(2, [&](const std::map<SquareId, Matrix>& batches) {
-      const std::size_t n = tree_->layout().n_contacts();
-      auto spans = std::make_shared<std::map<SquareId, std::pair<std::size_t, std::size_t>>>();
-      std::size_t total = 0;
-      for (const auto& [t, x] : batches) {
-        spans->emplace(t, std::make_pair(total, x.cols()));
-        total += x.cols();
-      }
-      Matrix rhs(n, total);
-      for (const auto& [t, x] : batches) {
-        const auto& ids = contacts(t);
-        const std::size_t off = spans->at(t).first;
-        for (std::size_t c = 0; c < x.cols(); ++c)
-          for (std::size_t i = 0; i < ids.size(); ++i) rhs(ids[i], off + c) = x(i, c);
-      }
-      auto resp = std::make_shared<Matrix>(total > 0 ? solver.solve_many(rhs) : Matrix(n, 0));
-      return [this, spans, resp](const SquareId& t, const SquareId& q) {
-        const auto [off, width] = spans->at(t);
-        const auto& qids = contacts(q);
-        Matrix out(qids.size(), width);
-        for (std::size_t c = 0; c < width; ++c)
-          for (std::size_t i = 0; i < qids.size(); ++i) out(i, c) = (*resp)(qids[i], off + c);
-        return out;
-      };
-    });
-    for (int lev = 3; lev <= tree.max_level(); ++lev) {
-      build_rbk_level(lev, [&, lev](const std::map<SquareId, Matrix>& batches) {
-        auto resp = std::make_shared<std::map<SquareId, ResponseBlocks>>(
-            split_responses(solver, lev, batches));
-        return [this, resp, lev](const SquareId& t, const SquareId& q) {
-          const SquareId qc = tree_->ancestor(q, lev - 1);
-          const Matrix& block = resp->at(t).at(qc);
-          return restrict_rows(block, positions_in(contacts(q), contacts(qc)));
-        };
-      });
-    }
-  } else {
-    build_level2(solver);
-    for (int lev = 3; lev <= tree.max_level(); ++lev) build_level(solver, lev);
+  // Coarse to fine. The scheme picks which vectors each level solves; how
+  // they are answered (respond) and recorded (record) is shared, and so is
+  // the finest-level W pass.
+  for (int lev = 2; lev <= tree.max_level(); ++lev) {
+    if (options_.basis == RowBasisScheme::kBlockKrylov)
+      build_rbk_level(solver, lev);
+    else
+      build_level(solver, lev);
   }
   build_finest(solver);
   solves_ = solver.solve_count() - before;
@@ -125,86 +89,90 @@ const Matrix& RowBasisRep::finest_local_g(const SquareId& q, const SquareId& s) 
   return finest_g_.at({q, s});
 }
 
-// ---------------------------------------------------------------- level 2
+// ------------------------------------------------------ shared level steps
 
-void RowBasisRep::build_level2(const SubstrateSolver& solver) {
-  const QuadTree& tree = *tree_;
-  const std::size_t n = tree.layout().n_contacts();
-  Rng rng(options_.seed);
-
-  // One random sample vector per square; responses by direct solves (the
-  // coarsest level has only up to 16 squares, §4.3.3), batched into one
-  // solve_many call. RNG draws keep the original per-square order, so the
-  // sample vectors are unchanged.
-  const auto level2 = tree.squares(2);
-  Matrix sample_rhs(n, level2.size());
-  for (std::size_t c = 0; c < level2.size(); ++c) {
-    for (const std::size_t id : contacts(level2[c])) sample_rhs(id, c) = rng.normal();
+std::vector<SquareId> RowBasisRep::sample_sources(const SquareId& s) const {
+  std::vector<SquareId> sources = tree_->interactive(s);
+  if (sources.empty() && s.level == 2) {
+    // Degenerate layout: sample from every non-local square instead.
+    for (const SquareId& t : tree_->squares(2))
+      if (!QuadTree::adjacent_or_same(t, s)) sources.push_back(t);
   }
-  const Matrix sample_resp_mat = solver.solve_many(sample_rhs);
-  std::map<SquareId, Vector> sample_response;
-  for (std::size_t c = 0; c < level2.size(); ++c)
-    sample_response.emplace(level2[c], sample_resp_mat.col(c));
+  return sources;
+}
 
-  // Row bases from the sampled interactions.
-  for (const SquareId& s : tree.squares(2)) {
-    const auto& ids = contacts(s);
-    std::vector<SquareId> sources = tree.interactive(s);
-    if (sources.empty()) {
-      // Degenerate layout: sample from every non-local square instead.
-      for (const SquareId& t : tree.squares(2))
-        if (!QuadTree::adjacent_or_same(t, s)) sources.push_back(t);
-    }
-    SquareRep rep;
-    if (!sources.empty()) {
-      Matrix samples(ids.size(), sources.size());
-      for (std::size_t c = 0; c < sources.size(); ++c)
-        samples.set_col(c, restrict_to(sample_response.at(sources[c]), ids));
-      const Svd dec = svd(samples);
-      const std::size_t r = std::min({numerical_rank(dec.sigma, options_.sigma_rel_tol),
-                                      options_.max_rank, ids.size()});
-      rep.v = dec.u.block(0, 0, ids.size(), r);
-    } else {
-      rep.v = Matrix(ids.size(), 0);
-    }
-    reps_.emplace(s, std::move(rep));
-  }
+std::vector<SquareId> RowBasisRep::local_and_interactive(const SquareId& s) const {
+  auto region = tree_->local(s);
+  for (const SquareId& q : tree_->interactive(s)) region.push_back(q);
+  return region;
+}
 
-  // Responses to the row-basis vectors, by direct solves, recorded over
-  // P_s. All basis columns of all squares are independent: one batch.
-  std::vector<std::pair<SquareId, std::size_t>> v_cols;  // (square, column)
-  for (const SquareId& s : level2)
-    for (std::size_t k = 0; k < reps_.at(s).v.cols(); ++k) v_cols.emplace_back(s, k);
-  Matrix v_rhs(n, v_cols.size());
-  for (std::size_t c = 0; c < v_cols.size(); ++c) {
-    const auto& [s, k] = v_cols[c];
-    const auto& ids = contacts(s);
-    const Matrix& v = reps_.at(s).v;
-    for (std::size_t i = 0; i < ids.size(); ++i) v_rhs(ids[i], c) = v(i, k);
-  }
-  const Matrix v_resp = solver.solve_many(v_rhs);
+Matrix RowBasisRep::svd_basis(const Matrix& samples) const {
+  const std::size_t ns = samples.rows();
+  if (samples.cols() == 0) return Matrix(ns, 0);
+  const Svd dec = svd(samples);
+  const std::size_t r =
+      std::min({numerical_rank(dec.sigma, options_.sigma_rel_tol), options_.max_rank, ns});
+  return dec.u.block(0, 0, ns, r);
+}
 
-  std::size_t col = 0;
-  for (const SquareId& s : level2) {
-    SquareRep& rep = reps_.at(s);
-    const std::size_t r = rep.v.cols();
-    auto region = tree.local(s);
-    for (const SquareId& q : tree.interactive(s)) region.push_back(q);
-    for (const SquareId& q : region) {
-      const auto& qids = contacts(q);
-      Matrix block(qids.size(), r);
-      for (std::size_t k = 0; k < r; ++k)
-        for (std::size_t i = 0; i < qids.size(); ++i) block(i, k) = v_resp(qids[i], col + k);
-      rep.response.emplace(q, std::move(block));
-    }
-    col += r;
+RowBasisRep::BlockFn RowBasisRep::respond(const SubstrateSolver& solver, int level,
+                                          const Batches& batches) const {
+  if (level >= 3) {
+    // Splitting-method blocks live over the parent's local squares; a
+    // level-`level` square reads its rows out of its parent's block.
+    auto resp = split_responses(solver, level, batches);
+    return [this, level, resp = std::move(resp)](const SquareId& t, const SquareId& q) {
+      const SquareId qc = tree_->ancestor(q, level - 1);
+      return restrict_rows(resp.at(t).at(qc), positions_in(contacts(q), contacts(qc)));
+    };
   }
+  // Level 2 has at most 16 squares (§4.3.3): direct solves, every batch in
+  // one solve_many whose columns follow the batch order. pcg_block shares
+  // one Krylov space across a chunk's columns, so that order shows in the
+  // bits.
+  const std::size_t n = tree_->layout().n_contacts();
+  std::map<SquareId, std::pair<std::size_t, std::size_t>> spans;  // (first column, width)
+  std::size_t total = 0;
+  for (const auto& [t, x] : batches) {
+    spans.emplace(t, std::make_pair(total, x.cols()));
+    total += x.cols();
+  }
+  Matrix rhs(n, total);
+  for (const auto& [t, x] : batches) {
+    const auto& ids = contacts(t);
+    const std::size_t off = spans.at(t).first;
+    for (std::size_t c = 0; c < x.cols(); ++c)
+      for (std::size_t i = 0; i < ids.size(); ++i) rhs(ids[i], off + c) = x(i, c);
+  }
+  Matrix resp = total > 0 ? solver.solve_many(rhs) : Matrix(n, 0);
+  return [this, spans = std::move(spans), resp = std::move(resp)](const SquareId& t,
+                                                                  const SquareId& q) {
+    const auto [off, width] = spans.at(t);
+    const auto& qids = contacts(q);
+    Matrix out(qids.size(), width);
+    for (std::size_t c = 0; c < width; ++c)
+      for (std::size_t i = 0; i < qids.size(); ++i) out(i, c) = resp(qids[i], off + c);
+    return out;
+  };
+}
+
+void RowBasisRep::record(const SquareId& s, Matrix basis, const BlockFn& block) {
+  // The batch of s may carry probe columns after its basis; only the basis
+  // responses are kept.
+  SquareRep rep;
+  for (const SquareId& q : local_and_interactive(s)) {
+    const Matrix resp = block(s, q);
+    rep.response.emplace(q, resp.block(0, 0, resp.rows(), basis.cols()));
+  }
+  rep.v = std::move(basis);
+  reps_.emplace(s, std::move(rep));
 }
 
 // ------------------------------------------------------- splitting method
 
 std::map<SquareId, RowBasisRep::ResponseBlocks> RowBasisRep::split_responses(
-    const SubstrateSolver& solver, int level, const std::map<SquareId, Matrix>& batches) {
+    const SubstrateSolver& solver, int level, const Batches& batches) const {
   const QuadTree& tree = *tree_;
   const std::size_t n = tree.layout().n_contacts();
   SUBSPAR_REQUIRE(level >= 3 && level <= tree.max_level());
@@ -329,18 +297,7 @@ std::map<SquareId, RowBasisRep::ResponseBlocks> RowBasisRep::split_responses(
 
 // ------------------------------------------------ randomized block-Krylov
 
-std::vector<SquareId> RowBasisRep::rbk_sample_sources(const SquareId& s) const {
-  std::vector<SquareId> sources = tree_->interactive(s);
-  if (sources.empty() && s.level == 2) {
-    // Same degenerate-layout fallback as build_level2: sample from every
-    // non-local square.
-    for (const SquareId& t : tree_->squares(2))
-      if (!QuadTree::adjacent_or_same(t, s)) sources.push_back(t);
-  }
-  return sources;
-}
-
-void RowBasisRep::build_rbk_level(int level, const RbkOracle& oracle) {
+void RowBasisRep::build_rbk_level(const SubstrateSolver& solver, int level) {
   const QuadTree& tree = *tree_;
   const RbkOptions& rbk = options_.rbk;
   SUBSPAR_REQUIRE(rbk.block_size >= 1 && rbk.max_iters >= 1);
@@ -358,12 +315,18 @@ void RowBasisRep::build_rbk_level(int level, const RbkOracle& oracle) {
   for (const SquareId& s : squares) {
     const std::size_t ns = contacts(s).size();
     State st;
-    st.sources = rbk_sample_sources(s);
+    st.sources = sample_sources(s);
     st.fullrank = ns <= options_.max_rank;
     st.basis = st.fullrank ? Matrix::identity(ns) : Matrix(ns, 0);
     st.samples = Matrix(ns, 0);
     states.emplace(s, std::move(st));
   }
+
+  // Batches are keyed by square, so level-2 solve columns follow SquareId
+  // order.
+  const auto respond_to = [&](const std::map<SquareId, Matrix>& batches) {
+    return respond(solver, level, Batches(batches.begin(), batches.end()));
+  };
 
   // Columns polluted by non-finite values (possible only when fault
   // injection slips a corrupted solve past the solver's own guards) are
@@ -384,15 +347,6 @@ void RowBasisRep::build_rbk_level(int level, const RbkOracle& oracle) {
     return out;
   };
 
-  // Rank fill from the sketch spectrum uses the same sigma_rel_tol ratio
-  // test as the deterministic build, so kept ranks (and G_w accuracy) track
-  // it; target_tol only drives the accept/refine certification.
-  const auto refine = [&](State& st, std::size_t ns) {
-    const Svd dec = svd(st.samples);
-    const std::size_t r =
-        std::min({numerical_rank(dec.sigma, options_.sigma_rel_tol), options_.max_rank, ns});
-    st.basis = dec.u.block(0, 0, ns, r);
-  };
   const auto record_step = [&](int round, std::size_t probe_cols, std::size_t active,
                                double max_resid) {
     RbkStep step;
@@ -411,6 +365,10 @@ void RowBasisRep::build_rbk_level(int level, const RbkOracle& oracle) {
     trajectory_.push_back(step);
   };
 
+  // Ranks come from the sample spectrum by the column-sampling rule
+  // (svd_basis), so kept ranks (and G_w accuracy) track sigma_rel_tol;
+  // target_tol only drives the accept/refine certification.
+  //
   // Round 0: the Gaussian sketch, only for squares above the rank cap —
   // full-rank squares take the exact identity basis and skip the sampling
   // pass entirely (below level 2 this removes every sample solve on the
@@ -430,11 +388,11 @@ void RowBasisRep::build_rbk_level(int level, const RbkOracle& oracle) {
       probe_cols += omega.cols();
       batches.emplace(t, std::move(omega));
     }
-    const RbkBlockFn block = oracle(batches);
+    const BlockFn block = respond_to(batches);
     for (const SquareId& s : sketching) {
       State& st = states.at(s);
       for (const SquareId& t : st.sources) st.samples = Matrix::hcat(st.samples, block(t, s));
-      refine(st, contacts(s).size());
+      st.basis = svd_basis(st.samples);
     }
     record_step(0, probe_cols, sketching.size(), 1.0);
   }
@@ -474,7 +432,7 @@ void RowBasisRep::build_rbk_level(int level, const RbkOracle& oracle) {
         batches.emplace(t, std::move(batch));
       }
     }
-    const RbkBlockFn block = oracle(batches);
+    const BlockFn block = respond_to(batches);
 
     std::set<SquareId> failed_now;
     double max_resid = 0.0;
@@ -500,19 +458,11 @@ void RowBasisRep::build_rbk_level(int level, const RbkOracle& oracle) {
       // silently — it takes the deterministic per-square fallback below.
       const bool saturated = st.basis.cols() >= std::min(options_.max_rank, ns);
       if (dropped == 0 && (resid <= rbk.target_tol || saturated)) {
-        SquareRep rep;
-        rep.v = st.basis;
-        auto region = tree.local(s);
-        for (const SquareId& q : tree.interactive(s)) region.push_back(q);
-        for (const SquareId& q : region) {
-          const Matrix resp = block(s, q);
-          rep.response.emplace(q, resp.block(0, 0, resp.rows(), st.basis.cols()));
-        }
-        reps_.emplace(s, std::move(rep));
+        record(s, st.basis, block);
         st.done = true;
       } else {
         st.samples = Matrix::hcat(st.samples, fresh_samples);
-        refine(st, ns);
+        st.basis = svd_basis(st.samples);
         failed_now.insert(s);
       }
     }
@@ -548,38 +498,32 @@ void RowBasisRep::build_rbk_level(int level, const RbkOracle& oracle) {
       fb_cols += omega.cols();
       fb_batches.emplace(t, std::move(omega));
     }
-    const RbkBlockFn fb_block = oracle(fb_batches);
+    const BlockFn fb_block = respond_to(fb_batches);
     double fb_resid = 0.0;
     for (const SquareId& s : unresolved) {
       State& st = states.at(s);
-      const std::size_t ns = contacts(s).size();
-      Matrix samples(ns, 0);
+      Matrix samples(contacts(s).size(), 0);
       for (const SquareId& t : st.sources) samples = Matrix::hcat(samples, fb_block(t, s));
       std::size_t dropped = 0;
       st.samples = drop_nonfinite(std::move(samples), &dropped);
-      refine(st, ns);
+      st.basis = svd_basis(st.samples);
       fb_resid = std::max(fb_resid, st.samples.cols() > 0
                                         ? rbk_subspace_residual(st.basis, st.samples)
                                         : 0.0);
     }
     record_step(fb_round, fb_cols, unresolved.size(), fb_resid);
 
-    // Recording pass: responses to the fallback bases over each square's
-    // local-plus-interactive region.
+    // Recording pass: responses to the fallback bases. By now every retry
+    // avenue is spent, so a non-finite response is a breakdown.
     std::map<SquareId, Matrix> rec_batches;
     std::size_t rec_cols = 0;
     for (const SquareId& s : unresolved) {
       rec_cols += states.at(s).basis.cols();
       rec_batches.emplace(s, states.at(s).basis);
     }
-    const RbkBlockFn rec_block = oracle(rec_batches);
+    const BlockFn rec_block = respond_to(rec_batches);
     for (const SquareId& s : unresolved) {
-      State& st = states.at(s);
-      SquareRep rep;
-      rep.v = st.basis;
-      auto region = tree.local(s);
-      for (const SquareId& q : tree.interactive(s)) region.push_back(q);
-      for (const SquareId& q : region) {
+      for (const SquareId& q : local_and_interactive(s)) {
         const Matrix resp = rec_block(s, q);
         for (std::size_t j = 0; j < resp.cols(); ++j)
           for (std::size_t i = 0; i < resp.rows(); ++i)
@@ -589,73 +533,38 @@ void RowBasisRep::build_rbk_level(int level, const RbkOracle& oracle) {
                    "non-finite response block recorded for the fallback basis of square (" +
                        std::to_string(s.ix) + ", " + std::to_string(s.iy) + ") at level " +
                        std::to_string(level)});
-        rep.response.emplace(q, resp.block(0, 0, resp.rows(), st.basis.cols()));
       }
-      reps_.emplace(s, std::move(rep));
-      st.done = true;
+      record(s, states.at(s).basis, rec_block);
+      states.at(s).done = true;
     }
     record_step(fb_round + 1, rec_cols, unresolved.size(), fb_resid);
   }
 }
 
-// ---------------------------------------------------------- finer levels
-
-Matrix RowBasisRep::row_basis_from_samples(
-    const SquareId& s, const std::map<SquareId, ResponseBlocks>& sample_responses) {
-  const QuadTree& tree = *tree_;
-  const auto& ids = contacts(s);
-  const auto inter = tree.interactive(s);
-  if (inter.empty()) return Matrix(ids.size(), 0);
-
-  Matrix samples(ids.size(), inter.size());
-  for (std::size_t c = 0; c < inter.size(); ++c) {
-    const SquareId& t = inter[c];
-    const SquareId q = tree.ancestor(s, s.level - 1);
-    const Matrix& block = sample_responses.at(t).at(q);  // over contacts(q)
-    const auto pos = positions_in(ids, contacts(q));
-    for (std::size_t i = 0; i < ids.size(); ++i) samples(i, c) = block(pos[i], 0);
-  }
-  const Svd dec = svd(samples);
-  const std::size_t r = std::min(
-      {numerical_rank(dec.sigma, options_.sigma_rel_tol), options_.max_rank, ids.size()});
-  return dec.u.block(0, 0, ids.size(), r);
-}
+// ------------------------------------------------------- column sampling
 
 void RowBasisRep::build_level(const SubstrateSolver& solver, int level) {
-  const QuadTree& tree = *tree_;
-  Rng rng(options_.seed + static_cast<std::uint64_t>(level) * 0x9e37ULL);
-
-  // Random sample vector per square, responses via the splitting method.
-  std::map<SquareId, Matrix> sample_batches;
-  for (const SquareId& s : tree.squares(level)) {
+  const auto& squares = tree_->squares(level);
+  // One random sample vector per square (§4.3.3), drawn in scan order.
+  Rng rng(level == 2 ? options_.seed
+                     : options_.seed + static_cast<std::uint64_t>(level) * 0x9e37ULL);
+  Batches samples;
+  for (const SquareId& s : squares) {
     Matrix m(contacts(s).size(), 1);
     for (std::size_t i = 0; i < m.rows(); ++i) m(i, 0) = rng.normal();
-    sample_batches.emplace(s, std::move(m));
+    samples.emplace_back(s, std::move(m));
   }
-  const auto sample_resp = split_responses(solver, level, sample_batches);
+  const BlockFn sample_block = respond(solver, level, samples);
 
-  for (const SquareId& s : tree.squares(level)) {
-    SquareRep rep;
-    rep.v = row_basis_from_samples(s, sample_resp);
-    reps_.emplace(s, std::move(rep));
+  // Row bases from the sampled interactions, then the responses to them.
+  Batches bases;
+  for (const SquareId& s : squares) {
+    Matrix y(contacts(s).size(), 0);
+    for (const SquareId& t : sample_sources(s)) y = Matrix::hcat(y, sample_block(t, s));
+    bases.emplace_back(s, svd_basis(y));
   }
-
-  // Responses to the row bases, again via the splitting method, recorded
-  // over P_s by restriction from the parent-level local squares.
-  std::map<SquareId, Matrix> v_batches;
-  for (const SquareId& s : tree.squares(level)) v_batches.emplace(s, reps_.at(s).v);
-  const auto v_resp = split_responses(solver, level, v_batches);
-
-  for (const SquareId& s : tree.squares(level)) {
-    SquareRep& rep = reps_.at(s);
-    auto region = tree.local(s);
-    for (const SquareId& q : tree.interactive(s)) region.push_back(q);
-    for (const SquareId& qf : region) {
-      const SquareId q = tree.ancestor(qf, s.level - 1);
-      const Matrix& block = v_resp.at(s).at(q);
-      rep.response.emplace(qf, restrict_rows(block, positions_in(contacts(qf), contacts(q))));
-    }
-  }
+  const BlockFn basis_block = respond(solver, level, bases);
+  for (auto& [s, v] : bases) record(s, std::move(v), basis_block);
 }
 
 // ---------------------------------------------------------- finest level
@@ -663,68 +572,28 @@ void RowBasisRep::build_level(const SubstrateSolver& solver, int level) {
 void RowBasisRep::build_finest(const SubstrateSolver& solver) {
   const QuadTree& tree = *tree_;
   const int maxlev = tree.max_level();
-  const std::size_t n = tree.layout().n_contacts();
 
-  std::map<SquareId, Matrix> w_batches;
+  Batches w_batches;
   for (const SquareId& s : tree.squares(maxlev)) {
     const Matrix w = orthonormal_complement(reps_.at(s).v, contacts(s).size());
     finest_w_.emplace(s, w);
-    w_batches.emplace(s, w);
+    w_batches.emplace_back(s, w);
   }
-
-  // Responses to the W columns: splitting method when a parent level
-  // exists, direct solves when level 2 is already the finest.
-  std::map<SquareId, ResponseBlocks> w_resp;
-  if (maxlev >= 3) {
-    w_resp = split_responses(solver, maxlev, w_batches);
-  } else {
-    // Level 2 is already the finest: direct solves, all W columns of all
-    // squares batched into one solve_many call.
-    std::vector<std::pair<SquareId, std::size_t>> w_cols;  // (square, column)
-    for (const SquareId& s : tree.squares(maxlev))
-      for (std::size_t k = 0; k < w_batches.at(s).cols(); ++k) w_cols.emplace_back(s, k);
-    Matrix rhs(n, w_cols.size());
-    for (std::size_t c = 0; c < w_cols.size(); ++c) {
-      const auto& [s, k] = w_cols[c];
-      const auto& ids = contacts(s);
-      const Matrix& w = w_batches.at(s);
-      for (std::size_t i = 0; i < ids.size(); ++i) rhs(ids[i], c) = w(i, k);
-    }
-    const Matrix resp = solver.solve_many(rhs);
-
-    std::size_t col = 0;
-    for (const SquareId& s : tree.squares(maxlev)) {
-      const Matrix& w = w_batches.at(s);
-      ResponseBlocks blocks;
-      for (const SquareId& q : tree.local(s)) {
-        const auto& qids = contacts(q);
-        Matrix block(qids.size(), w.cols());
-        for (std::size_t k = 0; k < w.cols(); ++k)
-          for (std::size_t i = 0; i < qids.size(); ++i) block(i, k) = resp(qids[i], col + k);
-        blocks.emplace(q, std::move(block));
-      }
-      w_resp.emplace(s, std::move(blocks));
-      col += w.cols();
-    }
-  }
+  const BlockFn w_block = respond(solver, maxlev, w_batches);
 
   // Assemble the finest-level local blocks (eq. 4.26).
   for (const SquareId& s : tree.squares(maxlev)) {
     const Matrix& v = reps_.at(s).v;
     const Matrix& w = finest_w_.at(s);
     for (const SquareId& q : tree.local(s)) {
-      const SquareId qc = maxlev >= 3 ? tree.ancestor(q, maxlev - 1) : q;
-      const Matrix& wblock_coarse = w_resp.at(s).at(qc);
-      const Matrix gw = maxlev >= 3 ? restrict_rows(wblock_coarse,
-                                                    positions_in(contacts(q), contacts(qc)))
-                                    : wblock_coarse;
       Matrix g(contacts(q).size(), contacts(s).size());
       if (v.cols() > 0) matmul_nt_add(g, reps_.at(s).response.at(q), v);
-      if (w.cols() > 0) matmul_nt_add(g, gw, w);
+      if (w.cols() > 0) matmul_nt_add(g, w_block(s, q), w);
       finest_g_.emplace(std::make_pair(q, s), std::move(g));
     }
   }
 }
+
 
 // ------------------------------------------------------------------ apply
 

@@ -34,8 +34,8 @@ struct LowRankOptions {
   /// spectra decay like Fig. 4-3, a tighter tolerance fills the max_rank
   /// budget at negligible extra cost and buys ~30x lower representation
   /// error, so that is the default here (ablated in bench/ablation_rank).
-  /// Both schemes fill ranks with it (kBlockKrylov in tail-energy form);
-  /// kBlockKrylov stops refining from rbk.target_tol.
+  /// Both schemes rank their row bases with this one test; kBlockKrylov
+  /// decides when to stop refining from rbk.target_tol.
   double sigma_rel_tol = 1e-4;
   /// Row-basis width cap (paper: 6, matching the p = 2 moment count).
   std::size_t max_rank = 6;
@@ -118,38 +118,45 @@ class RowBasisRep {
   // Per-square responses of one "batch" of vectors, stored over the local
   // squares of the parent (which cover P_s).
   using ResponseBlocks = std::map<SquareId, Matrix>;
+  /// Per-square voltage batches of one level (columns over contacts(s)). At
+  /// level 2 the solve columns follow this order.
+  using Batches = std::vector<std::pair<SquareId, Matrix>>;
+  /// Reads the response of square t's batch on the contacts of square q
+  /// (rows ordered like contacts(q), one column per batch column).
+  using BlockFn = std::function<Matrix(const SquareId& t, const SquareId& q)>;
 
-  void build_level2(const SubstrateSolver& solver);
+  /// The column-sampling build of one level (§4.3.3): one random sample
+  /// vector per square, the row basis from the SVD of the sampled
+  /// interactions, then the responses to it.
   void build_level(const SubstrateSolver& solver, int level);
+  /// The block-Krylov build of one level (rbk_basis.hpp): Gaussian sketch
+  /// round for squares above the rank cap, then adaptive
+  /// probe/certify/refine rounds that double as the basis-response
+  /// recording pass, then the per-square fallback.
+  void build_rbk_level(const SubstrateSolver& solver, int level);
+  /// The finest-level W responses and local blocks G^(f)_{L_s, s} (eq. 4.26).
   void build_finest(const SubstrateSolver& solver);
 
-  /// Reads the response of source square t's probe batch, restricted to the
-  /// contacts of square q (rows ordered like contacts(q), one column per
-  /// probe column). Built per sketch round by the level oracles below.
-  using RbkBlockFn = std::function<Matrix(const SquareId& t, const SquareId& q)>;
-  /// Issues the black-box solves for one round of per-square probe batches
-  /// and returns the block accessor over the responses.
-  using RbkOracle = std::function<RbkBlockFn(const std::map<SquareId, Matrix>& batches)>;
-
-  /// The block-Krylov basis build of one level (rbk_basis.hpp): Gaussian
-  /// sketch round for squares above the rank cap, then adaptive
-  /// probe/certify/refine rounds that double as the basis-response
-  /// recording pass.
-  void build_rbk_level(int level, const RbkOracle& oracle);
+  /// Responses to per-square batches of one level: direct solves at level 2,
+  /// the splitting method below it.
+  BlockFn respond(const SubstrateSolver& solver, int level, const Batches& batches) const;
+  /// Stores V_s = basis and its responses over P_s, read from `block`.
+  void record(const SquareId& s, Matrix basis, const BlockFn& block);
   /// Sample sources of a square: its interactive region, with the level-2
   /// degenerate-layout fallback to every non-local square.
-  std::vector<SquareId> rbk_sample_sources(const SquareId& s) const;
+  std::vector<SquareId> sample_sources(const SquareId& s) const;
+  /// P_s: the local squares of s followed by its interactive squares.
+  std::vector<SquareId> local_and_interactive(const SquareId& s) const;
+  /// Row basis from sampled responses: the leading left singular vectors,
+  /// ranked by sigma_rel_tol and capped at max_rank.
+  Matrix svd_basis(const Matrix& samples) const;
 
   /// The splitting method (§4.3.3): responses to per-square column batches
   /// x_s (columns over contacts(s), level `level` >= 3), each returned over
   /// the local squares of its parent. Uses the parent-level representation
   /// plus combine-solves on the orthogonal parts.
-  std::map<SquareId, ResponseBlocks> split_responses(
-      const SubstrateSolver& solver, int level,
-      const std::map<SquareId, Matrix>& batches);
-
-  Matrix row_basis_from_samples(const SquareId& s,
-                                const std::map<SquareId, ResponseBlocks>& sample_responses);
+  std::map<SquareId, ResponseBlocks> split_responses(const SubstrateSolver& solver, int level,
+                                                     const Batches& batches) const;
 
   const QuadTree* tree_;
   LowRankOptions options_;

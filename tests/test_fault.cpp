@@ -351,9 +351,15 @@ TEST_F(FaultEnv, InjectedCacheReadFaultFallsBackToReextraction) {
 
 // ------------------------------------------------- end-to-end solver faults
 
-TEST_F(FaultEnv, ExtractionUnderSolverFaultsStaysWithinErrorBoundAndReplays) {
+// Runs under both row-basis schemes, so the injected solver faults reach
+// the block-Krylov rounds and fallback as well as column sampling.
+class SchemeFaultEnv : public FaultEnv,
+                       public ::testing::WithParamInterface<RowBasisScheme> {};
+
+TEST_P(SchemeFaultEnv, ExtractionUnderSolverFaultsStaysWithinErrorBoundAndReplays) {
   // Clean reference first.
   Rig clean;
+  clean.request.lowrank.basis = GetParam();
   const ExtractionResult ref = Extractor(*clean.solver, clean.layout).extract(clean.request);
   Rng rng(2024);
   Vector v(clean.layout.n_contacts());
@@ -365,6 +371,7 @@ TEST_F(FaultEnv, ExtractionUnderSolverFaultsStaysWithinErrorBoundAndReplays) {
   const std::string spec = "2718:0.05:200:as";
   arm(spec);
   Rig faulty;
+  faulty.request.lowrank.basis = GetParam();
   const ExtractionResult hit = Extractor(*faulty.solver, faulty.layout).extract(faulty.request);
   const FaultCounts counts = fault_counts();
   const std::uint64_t fired = counts.fired[0] + counts.fired[1];
@@ -383,6 +390,7 @@ TEST_F(FaultEnv, ExtractionUnderSolverFaultsStaysWithinErrorBoundAndReplays) {
   // Fixed-seed replay: identical model bits and identical fallback lines.
   arm(spec);
   Rig replay;
+  replay.request.lowrank.basis = GetParam();
   const ExtractionResult again =
       Extractor(*replay.solver, replay.layout).extract(replay.request);
   expect_models_bit_equal(hit.model, again.model);
@@ -390,6 +398,15 @@ TEST_F(FaultEnv, ExtractionUnderSolverFaultsStaysWithinErrorBoundAndReplays) {
   for (std::size_t i = 0; i < hit.report.fallbacks.size(); ++i)
     EXPECT_EQ(again.report.fallbacks[i], hit.report.fallbacks[i]);
 }
+
+INSTANTIATE_TEST_SUITE_P(Schemes, SchemeFaultEnv,
+                         ::testing::Values(RowBasisScheme::kColumnSampling,
+                                           RowBasisScheme::kBlockKrylov),
+                         [](const ::testing::TestParamInfo<RowBasisScheme>& info) {
+                           return info.param == RowBasisScheme::kBlockKrylov
+                                      ? std::string("BlockKrylov")
+                                      : std::string("ColumnSampling");
+                         });
 
 }  // namespace
 }  // namespace subspar

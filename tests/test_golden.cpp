@@ -30,6 +30,12 @@ constexpr double kGoldenGwSparsity = 10.761247947454844;
 constexpr double kGoldenQSparsity = 20.582914572864322;
 constexpr double kGoldenResidual = 0.0020533169310501765;
 
+// The same quickstart with lowrank.basis = RowBasisScheme::kBlockKrylov.
+constexpr long kGoldenRbkSolves = 279;
+constexpr std::size_t kGoldenRbkGwNnz = 6090;
+constexpr std::size_t kGoldenRbkQNnz = 3184;
+constexpr double kGoldenRbkResidual = 0.0020487700052476;
+
 TEST(GoldenQuickstart, PinsSolveCountSparsityAndResidual) {
   Quickstart qs;
   const ExtractionResult ex = Extractor(*qs.solver, qs.layout).extract(qs.request);
@@ -112,7 +118,8 @@ TEST(GoldenQuickstart, CacheKeysNeverAliasAcrossBasisSchemes) {
 
 TEST(GoldenQuickstart, RbkRequestThroughThePublicPipeline) {
   // The selectable scheme end to end: fewer solves than the golden constant,
-  // a populated trajectory, and an apply residual in the same band.
+  // a populated trajectory, an apply residual in the same band, and the
+  // exact solve count, sparsity and residual of this route pinned.
   Quickstart qs;
   ExtractionRequest request = qs.request;
   request.lowrank.basis = RowBasisScheme::kBlockKrylov;
@@ -120,7 +127,10 @@ TEST(GoldenQuickstart, RbkRequestThroughThePublicPipeline) {
 
   EXPECT_EQ(ex.report.basis_scheme, "block-krylov");
   EXPECT_LT(ex.report.solves, kGoldenSolves);
+  EXPECT_EQ(ex.report.solves, kGoldenRbkSolves);
   EXPECT_FALSE(ex.report.rank_trajectory.empty());
+  EXPECT_EQ(ex.model.gw().nnz(), kGoldenRbkGwNnz);
+  EXPECT_EQ(ex.model.q().nnz(), kGoldenRbkQNnz);
 
   Rng rng(2024);
   Vector v(qs.layout.n_contacts());
@@ -130,6 +140,7 @@ TEST(GoldenQuickstart, RbkRequestThroughThePublicPipeline) {
   // The residual is dominated by the shared thresholding phases; the
   // randomized basis must stay in the same accuracy band.
   EXPECT_LT(resid, 2.0 * kGoldenResidual);
+  EXPECT_NEAR(resid, kGoldenRbkResidual, 1e-9);
 }
 
 }  // namespace

@@ -75,21 +75,43 @@ struct LowRankFixture {
   Layout layout;
   QuadTree tree;
   SurfaceSolver solver;
-  explicit LowRankFixture(Layout l)
-      : layout(std::move(l)), tree(layout), solver(layout, test_stack()) {}
+  explicit LowRankFixture(Layout l, int max_level = -1)
+      : layout(std::move(l)), tree(layout, max_level), solver(layout, test_stack()) {}
 };
 
 TEST(RowBasisRep, ApplyMatchesDenseOperator) {
-  LowRankFixture f(regular_grid_layout(8));
-  const Matrix g = extract_dense(f.solver);
-  const RowBasisRep rep(f.solver, f.tree);
-  Rng rng(3);
-  for (int t = 0; t < 3; ++t) {
-    Vector x(f.layout.n_contacts());
-    for (auto& v : x) v = rng.normal();
-    const Vector exact = matvec(g, x);
-    const Vector approx = rep.apply(x);
-    EXPECT_LT(norm2(approx - exact), 2e-2 * norm2(exact));
+  // Trees that end at level 2 take the finest-level W responses from direct
+  // solves instead of the splitting method: the 4x4 grid (one contact per
+  // square, so W is empty) and the 16x16 grid cut at level 2 (16 contacts
+  // per square, so W is not).
+  struct Case {
+    int side;
+    int max_level;
+    RowBasisScheme scheme;
+  };
+  const Case cases[] = {
+      {8, -1, RowBasisScheme::kColumnSampling}, {4, -1, RowBasisScheme::kColumnSampling},
+      {4, -1, RowBasisScheme::kBlockKrylov},    {16, 2, RowBasisScheme::kColumnSampling},
+      {16, 2, RowBasisScheme::kBlockKrylov},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE("grid " + std::to_string(c.side) + ", max level " +
+                 std::to_string(c.max_level) +
+                 (c.scheme == RowBasisScheme::kBlockKrylov ? ", block-Krylov" : ", sampling"));
+    LowRankFixture f(regular_grid_layout(c.side), c.max_level);
+    if (c.side == 4) {
+      EXPECT_EQ(f.tree.max_level(), 2);
+    }
+    const Matrix g = extract_dense(f.solver);
+    const RowBasisRep rep(f.solver, f.tree, {.basis = c.scheme});
+    Rng rng(3);
+    for (int t = 0; t < 3; ++t) {
+      Vector x(f.layout.n_contacts());
+      for (auto& v : x) v = rng.normal();
+      const Vector exact = matvec(g, x);
+      const Vector approx = rep.apply(x);
+      EXPECT_LT(norm2(approx - exact), 2e-2 * norm2(exact));
+    }
   }
 }
 

@@ -1,7 +1,7 @@
 // Tests for the randomized block-Krylov row-basis machinery
-// (lowrank/rbk_basis.hpp) and its multilevel driver in RowBasisRep:
-// subspace accuracy against dense SVDs, adaptive-stop behaviour, fixed-seed
-// bit-reproducibility, thread-count bit-identity, and the headline
+// (lowrank/rbk_basis.hpp) and its multilevel driver in RowBasisRep: the
+// probe, seed and certification helpers, fixed-seed bit-reproducibility,
+// thread-count bit-identity, the per-square fallback, and the headline
 // fewer-solves-at-equal-accuracy comparison against the deterministic
 // column-sampling build.
 #include <gtest/gtest.h>
@@ -9,7 +9,6 @@
 #include <cmath>
 
 #include "geometry/layout_gen.hpp"
-#include "linalg/svd.hpp"
 #include "lowrank/rbk_basis.hpp"
 #include "lowrank/row_basis.hpp"
 #include "substrate/eigen_solver.hpp"
@@ -22,142 +21,48 @@ namespace {
 
 SubstrateStack test_stack() { return paper_stack(40.0, 0.5, 1.0); }
 
-// A symmetric n x n matrix with singular values `sigma` and a seeded random
-// orthogonal eigenbasis: the exact answers for subspace-accuracy checks.
-struct KnownSpectrum {
-  Matrix g;
-  Matrix u;  // n x n eigenbasis, spectrum order
-};
-
-KnownSpectrum known_spectrum(std::size_t n, const Vector& sigma, std::uint64_t seed) {
-  Rng rng(seed);
-  Matrix raw(n, n);
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = 0; j < n; ++j) raw(i, j) = rng.normal();
-  const Svd dec = svd(raw);  // u is a random orthogonal matrix
-  KnownSpectrum out;
-  out.u = dec.u;
-  Matrix scaled = dec.u;
-  for (std::size_t j = 0; j < n; ++j)
-    for (std::size_t i = 0; i < n; ++i) scaled(i, j) *= (j < sigma.size() ? sigma[j] : 0.0);
-  out.g = matmul_nt(scaled, dec.u);
-  return out;
-}
-
-std::function<Matrix(const Matrix&)> dense_apply(const Matrix& g) {
-  return [&g](const Matrix& x) { return matmul(g, x); };
-}
-
-// ------------------------------------------------------------ rbk_range
-
-TEST(RbkRange, RecoversDominantSubspaceOfExactMatrix) {
-  const std::size_t n = 24;
-  Vector sigma(n);
-  for (std::size_t i = 0; i < n; ++i) sigma[i] = std::pow(10.0, -static_cast<double>(i));
-  const KnownSpectrum ks = known_spectrum(n, sigma, 99);
-
-  RbkOptions opt;
-  opt.block_size = 4;
-  opt.max_iters = 4;
-  opt.target_tol = 1e-6;
-  const RbkRange range = rbk_range(dense_apply(ks.g), n, opt, /*max_rank=*/8, /*seed=*/7);
-
-  ASSERT_GE(range.basis.cols(), 4u);
-  // Every recovered direction must lie in the span it claims: V orthonormal.
-  const Matrix vtv = matmul_tn(range.basis, range.basis);
-  for (std::size_t i = 0; i < vtv.rows(); ++i)
-    for (std::size_t j = 0; j < vtv.cols(); ++j)
-      EXPECT_NEAR(vtv(i, j), i == j ? 1.0 : 0.0, 1e-10);
-  // The top eigenvectors (sigma 1, 1e-1, 1e-2, 1e-3) are captured: the
-  // basis reproduces them to a tolerance far below the next spectrum gap.
-  for (std::size_t j = 0; j < 4; ++j) {
-    Vector uj(n);
-    for (std::size_t i = 0; i < n; ++i) uj[i] = ks.u(i, j);
-    const Vector proj = matvec(range.basis, matvec_t(range.basis, uj));
-    double err = 0.0;
-    for (std::size_t i = 0; i < n; ++i) err += (proj[i] - uj[i]) * (proj[i] - uj[i]);
-    EXPECT_LT(std::sqrt(err), 1e-3) << "eigenvector " << j;
+// Worst relative error of rep.apply against the dense G over 8 seeded
+// random vectors.
+double worst_apply_error(const RowBasisRep& rep, const Matrix& g) {
+  Rng rng(77);
+  double worst = 0.0;
+  for (int t = 0; t < 8; ++t) {
+    Vector v(g.rows());
+    for (std::size_t i = 0; i < v.size(); ++i) v[i] = rng.normal();
+    const Vector exact = matvec(g, v);
+    const Vector approx = rep.apply(v);
+    double num = 0.0, den = 0.0;
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      num += (approx[i] - exact[i]) * (approx[i] - exact[i]);
+      den += exact[i] * exact[i];
+    }
+    worst = std::max(worst, std::sqrt(num / den));
   }
+  return worst;
 }
 
-TEST(RbkRange, CertifiedResidualMatchesTrueResidual) {
+// ------------------------------------------------------------- helpers
+
+TEST(RbkHelpers, SubspaceResidualMatchesDenseProjection) {
   const std::size_t n = 20;
-  Vector sigma(n);
-  for (std::size_t i = 0; i < n; ++i) sigma[i] = std::pow(3.0, -static_cast<double>(i));
-  const KnownSpectrum ks = known_spectrum(n, sigma, 3);
+  const Matrix v = rbk_gaussian_probes(n, 5, 3);  // orthonormal n x 5
+  Rng rng(11);
+  Matrix s(n, 4);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j < 4; ++j) s(i, j) = rng.normal();
 
-  RbkOptions opt;
-  opt.block_size = 3;
-  opt.max_iters = 5;
-  opt.target_tol = 1e-3;
-  const RbkRange range = rbk_range(dense_apply(ks.g), n, opt, n, 11);
-  EXPECT_TRUE(range.converged);
-  // The accepted basis really does reproduce the operator's range to ~tol
-  // (the certificate is stochastic; allow an order of magnitude).
-  const double true_resid = rbk_subspace_residual(range.basis, ks.g);
-  EXPECT_LT(true_resid, 10 * opt.target_tol);
-  ASSERT_FALSE(range.trajectory.empty());
-  EXPECT_LE(range.trajectory.back().max_residual, opt.target_tol);
-}
-
-TEST(RbkRange, FixedSeedIsBitReproducible) {
-  const std::size_t n = 16;
-  Vector sigma(n);
-  for (std::size_t i = 0; i < n; ++i) sigma[i] = std::exp(-static_cast<double>(i));
-  const KnownSpectrum ks = known_spectrum(n, sigma, 21);
-  RbkOptions opt;
-  opt.block_size = 2;
-  const RbkRange a = rbk_range(dense_apply(ks.g), n, opt, 6, 42);
-  const RbkRange b = rbk_range(dense_apply(ks.g), n, opt, 6, 42);
-  ASSERT_EQ(a.basis.rows(), b.basis.rows());
-  ASSERT_EQ(a.basis.cols(), b.basis.cols());
-  for (std::size_t i = 0; i < a.basis.rows(); ++i)
-    for (std::size_t j = 0; j < a.basis.cols(); ++j) EXPECT_EQ(a.basis(i, j), b.basis(i, j));
-  EXPECT_EQ(a.applies, b.applies);
-  // A different seed draws different probes.
-  const RbkRange c = rbk_range(dense_apply(ks.g), n, opt, 6, 43);
-  bool any_diff = false;
-  if (c.basis.cols() == a.basis.cols()) {
-    for (std::size_t i = 0; i < a.basis.rows() && !any_diff; ++i)
-      for (std::size_t j = 0; j < a.basis.cols() && !any_diff; ++j)
-        any_diff = a.basis(i, j) != c.basis(i, j);
-  } else {
-    any_diff = true;
-  }
-  EXPECT_TRUE(any_diff);
-}
-
-// ----------------------------------------------------- adaptive rank rule
-
-TEST(RbkAdaptiveRank, StopsWhereTailEnergyDropsBelowTolerance) {
-  Vector sigma(5);
-  sigma[0] = 1.0;
-  sigma[1] = 1e-1;
-  sigma[2] = 1e-2;
-  sigma[3] = 1e-7;
-  sigma[4] = 1e-9;
-  // tol 1e-4: ranks 0..2 leave visible tail, rank 3 clears it.
-  EXPECT_EQ(rbk_adaptive_rank(sigma, 1e-4, 10, 10), 3u);
-  // Looser tolerance cuts earlier.
-  EXPECT_EQ(rbk_adaptive_rank(sigma, 2e-1, 10, 10), 1u);
-}
-
-TEST(RbkAdaptiveRank, MonotoneInToleranceAndRespectsCaps) {
-  Vector sigma(8);
-  for (std::size_t i = 0; i < 8; ++i) sigma[i] = std::pow(10.0, -static_cast<double>(i));
-  std::size_t prev = 0;
-  // Tightening the tolerance never decreases the chosen rank.
-  for (const double tol : {0.5, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6}) {
-    const std::size_t r = rbk_adaptive_rank(sigma, tol, 8, 8);
-    EXPECT_GE(r, prev) << "tol " << tol;
-    prev = r;
-  }
-  // Caps: max_rank and the block dimension both bound the answer.
-  EXPECT_LE(rbk_adaptive_rank(sigma, 1e-12, 3, 8), 3u);
-  EXPECT_LE(rbk_adaptive_rank(sigma, 1e-12, 8, 2), 2u);
-  // An all-zero spectrum has rank 0.
-  Vector zeros(4);
-  EXPECT_EQ(rbk_adaptive_rank(zeros, 1e-4, 8, 8), 0u);
+  // Against the explicit projection remainder S - V V'S.
+  const Matrix remainder = s - matmul(v, matmul_tn(v, s));
+  EXPECT_NEAR(rbk_subspace_residual(v, s), remainder.frobenius_norm() / s.frobenius_norm(),
+              1e-14);
+  // Samples inside span(V) leave nothing behind.
+  Matrix coeff(5, 3);
+  for (std::size_t i = 0; i < 5; ++i)
+    for (std::size_t j = 0; j < 3; ++j) coeff(i, j) = rng.normal();
+  EXPECT_LT(rbk_subspace_residual(v, matmul(v, coeff)), 1e-14);
+  // An empty basis captures nothing; all-zero samples need nothing.
+  EXPECT_EQ(rbk_subspace_residual(Matrix(n, 0), s), 1.0);
+  EXPECT_EQ(rbk_subspace_residual(v, Matrix(n, 4)), 0.0);
 }
 
 TEST(RbkHelpers, StreamSeedsSeparateBlocksAndRounds) {
@@ -186,32 +91,14 @@ TEST(RbkRowBasis, FewerSolvesThanDeterministicAtComparableAccuracy) {
   const QuadTree tree(layout);
   const Matrix g = extract_dense(solver);
 
-  const auto worst_apply_error = [&](const RowBasisRep& rep) {
-    Rng rng(77);
-    double worst = 0.0;
-    for (int t = 0; t < 8; ++t) {
-      Vector v(layout.n_contacts());
-      for (std::size_t i = 0; i < v.size(); ++i) v[i] = rng.normal();
-      const Vector exact = matvec(g, v);
-      const Vector approx = rep.apply(v);
-      double num = 0.0, den = 0.0;
-      for (std::size_t i = 0; i < v.size(); ++i) {
-        num += (approx[i] - exact[i]) * (approx[i] - exact[i]);
-        den += exact[i] * exact[i];
-      }
-      worst = std::max(worst, std::sqrt(num / den));
-    }
-    return worst;
-  };
-
   const RowBasisRep det(solver, tree, {});
   LowRankOptions ro;
   ro.basis = RowBasisScheme::kBlockKrylov;
   const RowBasisRep rbk(solver, tree, ro);
 
   EXPECT_LT(rbk.solves(), det.solves());
-  const double det_err = worst_apply_error(det);
-  const double rbk_err = worst_apply_error(rbk);
+  const double det_err = worst_apply_error(det, g);
+  const double rbk_err = worst_apply_error(rbk, g);
   // Comparable accuracy: the randomized build must stay within 2x of the
   // deterministic apply error (both are ~1e-6 here).
   EXPECT_LT(rbk_err, 2.0 * det_err);
@@ -247,6 +134,47 @@ TEST(RbkRowBasis, FixedSeedIsBitReproducible) {
   ASSERT_EQ(a.trajectory().size(), b.trajectory().size());
   for (std::size_t i = 0; i < a.trajectory().size(); ++i)
     EXPECT_EQ(a.trajectory()[i].max_residual, b.trajectory()[i].max_residual);
+}
+
+TEST(RbkRowBasis, UncertifiedSquaresFallBackDeterministically) {
+  // One Krylov round at a certification target no sketch meets: the level-2
+  // squares that do not saturate their rank budget take the per-square
+  // column-sampling fallback (rounds max_iters+1 and +2).
+  const Layout layout = regular_grid_layout(16);
+  const SurfaceSolver solver(layout, test_stack());
+  const QuadTree tree(layout);
+  const Matrix g = extract_dense(solver);
+  LowRankOptions ro;
+  ro.basis = RowBasisScheme::kBlockKrylov;
+  ro.rbk.max_iters = 1;
+  ro.rbk.target_tol = 1e-6;
+  const RowBasisRep a(solver, tree, ro);
+
+  EXPECT_GT(a.rbk_fallback_squares(), 0);
+  const auto has_level2_round = [&](int round) {
+    for (const RbkStep& s : a.trajectory())
+      if (s.level == 2 && s.round == round) return true;
+    return false;
+  };
+  const int max_iters = static_cast<int>(ro.rbk.max_iters);
+  EXPECT_TRUE(has_level2_round(max_iters + 1));
+  EXPECT_TRUE(has_level2_round(max_iters + 2));
+
+  const RowBasisRep det(solver, tree, {});
+  EXPECT_LT(worst_apply_error(a, g), 2.0 * worst_apply_error(det, g));
+
+  const RowBasisRep b(solver, tree, ro);
+  EXPECT_EQ(a.solves(), b.solves());
+  EXPECT_EQ(a.rbk_fallback_squares(), b.rbk_fallback_squares());
+  ASSERT_EQ(a.trajectory().size(), b.trajectory().size());
+  for (std::size_t i = 0; i < a.trajectory().size(); ++i)
+    EXPECT_EQ(a.trajectory()[i].max_residual, b.trajectory()[i].max_residual);
+  Rng rng(5);
+  Vector v(layout.n_contacts());
+  for (std::size_t i = 0; i < v.size(); ++i) v[i] = rng.normal();
+  const Vector ya = a.apply(v);
+  const Vector yb = b.apply(v);
+  for (std::size_t i = 0; i < v.size(); ++i) EXPECT_EQ(ya[i], yb[i]) << "row " << i;
 }
 
 TEST(RbkRowBasis, ThreadCountDoesNotChangeBits) {
