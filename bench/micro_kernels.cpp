@@ -150,16 +150,21 @@ void BM_JacobiSvd(benchmark::State& state) {
 }
 BENCHMARK(BM_JacobiSvd)->Arg(32)->Arg(64);
 
-void BM_FastPoissonSolve(benchmark::State& state) {
+// The FD solver's default preconditioner on its 64 x 64 x 20 grid.
+PoissonGrid bench_poisson_grid() {
   PoissonGrid g;
   g.nx = g.ny = 64;
   g.nz = 20;
   g.lateral_g.assign(g.nz, 1.0);
   g.vertical_g.assign(g.nz - 1, 1.0);
   g.top_g = 0.25;
-  const FastPoisson3D fp(g);
+  return g;
+}
+
+void BM_FastPoissonSolve(benchmark::State& state) {
+  const FastPoisson3D fp(bench_poisson_grid());
   Rng rng(4);
-  Vector b(g.size());
+  Vector b(fp.grid().size());
   for (auto& v : b) v = rng.normal();
   for (auto _ : state) {
     const Vector x = fp.solve(b);
@@ -167,6 +172,22 @@ void BM_FastPoissonSolve(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FastPoissonSolve);
+
+// One block-PCG preconditioner apply: k residual columns at once.
+void BM_FastPoissonSolveMany(benchmark::State& state) {
+  const auto k = static_cast<std::size_t>(state.range(0));
+  const FastPoisson3D fp(bench_poisson_grid());
+  Rng rng(4);
+  Matrix b(fp.grid().size(), k);
+  for (std::size_t i = 0; i < b.rows(); ++i)
+    for (std::size_t j = 0; j < k; ++j) b(i, j) = rng.normal();
+  for (auto _ : state) {
+    const Matrix x = fp.solve_many(b);
+    benchmark::DoNotOptimize(x(0, 0));
+  }
+  state.SetItemsProcessed(static_cast<long>(state.iterations()) * static_cast<long>(k));
+}
+BENCHMARK(BM_FastPoissonSolveMany)->Arg(16);
 
 struct SolveFixtureState {
   Layout layout = regular_grid_layout(16);

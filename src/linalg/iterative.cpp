@@ -90,6 +90,17 @@ Vector pcg(const LinearOp& a, const Vector& b, const IterOptions& opt, IterStats
 
 namespace {
 
+// Per-column sums of squares in one row-order pass. Each column still
+// accumulates in ascending row order, so the sums are bitwise those of a
+// column-by-column loop.
+void col_sq_norms(const Matrix& m, std::vector<double>& s) {
+  s.assign(m.cols(), 0.0);
+  for (std::size_t i = 0; i < m.rows(); ++i) {
+    const double* row = m.row_ptr(i);
+    for (std::size_t j = 0; j < m.cols(); ++j) s[j] += row[j] * row[j];
+  }
+}
+
 // Selects the `keep` columns of a matrix (column compaction after
 // deflating converged block-CG columns).
 Matrix select_cols(const Matrix& m, const std::vector<std::size_t>& keep) {
@@ -112,12 +123,11 @@ Matrix pcg_block(const LinearOpMany& a, const Matrix& b, const IterOptions& opt,
   BlockIterStats local;
 
   // Zero columns solve to zero; drop them so the Gram systems stay SPD.
-  std::vector<double> bnorm_all(k, 0.0);
+  std::vector<double> bnorm_all;
+  col_sq_norms(b, bnorm_all);
   std::vector<std::size_t> active;  // original column index of each live slot
   for (std::size_t j = 0; j < k; ++j) {
-    double s = 0.0;
-    for (std::size_t i = 0; i < n; ++i) s += b(i, j) * b(i, j);
-    bnorm_all[j] = std::sqrt(s);
+    bnorm_all[j] = std::sqrt(bnorm_all[j]);
     if (bnorm_all[j] > 0.0) active.push_back(j);
   }
   if (active.empty()) {
@@ -142,6 +152,7 @@ Matrix pcg_block(const LinearOpMany& a, const Matrix& b, const IterOptions& opt,
   constexpr std::size_t kStallWindow = 50;
   double stall_ref = 0.0;
   std::size_t stall_it = 0;
+  std::vector<double> rs;  // per-column residual sums of squares
   for (std::size_t it = 0; it < opt.max_iterations; ++it) {
     // Cooperative cancellation/deadline checkpoint: a long solve on a large
     // grid spends essentially all its time in this loop, so per-iteration
@@ -159,10 +170,9 @@ Matrix pcg_block(const LinearOpMany& a, const Matrix& b, const IterOptions& opt,
     const std::size_t ka = active.size();
     std::vector<std::size_t> keep;
     double worst = 0.0;
+    col_sq_norms(r, rs);
     for (std::size_t j = 0; j < ka; ++j) {
-      double rs = 0.0;
-      for (std::size_t i = 0; i < n; ++i) rs += r(i, j) * r(i, j);
-      const double rel = std::sqrt(rs) / bnorm[j];
+      const double rel = std::sqrt(rs[j]) / bnorm[j];
       if (rel <= opt.rel_tol) {
         for (std::size_t i = 0; i < n; ++i) x(i, active[j]) = xa(i, j);
       } else {

@@ -202,8 +202,7 @@ struct FdSolver::Impl {
       const Matrix xc = robust_chunk(b, d, &it);
       total_iterations += static_cast<long>(it) * static_cast<long>(kc);
       stat_solves += static_cast<long>(kc);
-      for (std::size_t j = 0; j < kc; ++j)
-        for (std::size_t i = 0; i < nodes; ++i) x(i, j0 + j) = xc(i, j);
+      for (std::size_t i = 0; i < nodes; ++i) std::copy_n(xc.row_ptr(i), kc, x.row_ptr(i) + j0);
     }
     return x;
   }

@@ -1,11 +1,10 @@
 // Iterative radix-2 complex FFT.
 //
-// The fast DCTs used by the eigenfunction substrate solver (§2.3.1) and the
-// fast-Poisson preconditioner (§2.2.2) are built on this transform. Hot
-// paths (every PCG iteration of both substrate solvers runs several 2-D
-// DCTs) go through cached `FftPlan`s, which precompute the bit-reversal
-// permutation and the twiddle-factor table once per length instead of
-// re-deriving them with sin/cos on every call.
+// The fast DCTs used by the eigenfunction substrate solver (§2.3.1) are
+// built on this transform. Hot paths (every PCG iteration of that solver
+// runs several 2-D DCTs) go through cached `FftPlan`s, which precompute
+// the bit-reversal permutation and the twiddle-factor table once per
+// length instead of re-deriving them with sin/cos on every call.
 #pragma once
 
 #include <complex>
@@ -43,7 +42,7 @@ class FftPlan {
 
 /// Per-thread plan cache: the returned reference stays valid for the
 /// lifetime of the calling thread. All plan-based entry points (fft, ifft,
-/// the DCTs, FastPoisson3D) share this cache.
+/// the DCTs) share this cache.
 const FftPlan& fft_plan(std::size_t n);
 
 /// In-place forward FFT through the cached plan. N must be a power of two.

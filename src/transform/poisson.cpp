@@ -1,8 +1,8 @@
 #include "transform/poisson.hpp"
 
+#include <algorithm>
 #include <cmath>
 
-#include "transform/dct.hpp"
 #include "transform/fft.hpp"
 #include "util/check.hpp"
 #include "util/parallel.hpp"
@@ -11,63 +11,45 @@ namespace subspar {
 namespace {
 constexpr double kPi = 3.14159265358979323846;
 
-// Apply the 1-D orthonormal DCT (or its inverse) along one dimension of the
-// 3-D brick, through the cached plan (no per-line allocation; x-lines are
-// contiguous and transform in place).
-void transform_dim(std::vector<double>& a, const PoissonGrid& g, int dim, bool forward) {
-  const std::size_t nx = g.nx, ny = g.ny, nz = g.nz;
-  const std::size_t len = dim == 0 ? nx : (dim == 1 ? ny : nz);
-  const DctPlan& plan = dct_plan(len);
-  if (dim == 0) {
-    for (std::size_t o2 = 0; o2 < nz; ++o2)
-      for (std::size_t o1 = 0; o1 < ny; ++o1) {
-        double* line = a.data() + g.index(0, o1, o2);
-        forward ? plan.dct2(line) : plan.dct3(line);
-      }
-    return;
-  }
-  std::vector<double> buf(len);
-  const std::size_t outer1 = nx;
-  const std::size_t outer2 = dim == 2 ? ny : nz;
-  for (std::size_t o2 = 0; o2 < outer2; ++o2) {
-    for (std::size_t o1 = 0; o1 < outer1; ++o1) {
-      for (std::size_t i = 0; i < len; ++i)
-        buf[i] = a[dim == 1 ? g.index(o1, i, o2) : g.index(o1, o2, i)];
-      forward ? plan.dct2(buf.data()) : plan.dct3(buf.data());
-      for (std::size_t i = 0; i < len; ++i)
-        a[dim == 1 ? g.index(o1, i, o2) : g.index(o1, o2, i)] = buf[i];
+// Orthonormal DCT-II matrix, C(k, j) = s_k cos(pi k (2j+1) / 2n), with the
+// same convention as transform/dct.hpp: C x = dct2(x) and C' = C^{-1}. The
+// angle is reduced mod 2 pi in integers before the cosine.
+Matrix dct2_matrix(std::size_t n) {
+  Matrix c(n, n);
+  const double nn = static_cast<double>(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    const double s = std::sqrt((k == 0 ? 1.0 : 2.0) / nn);
+    for (std::size_t j = 0; j < n; ++j) {
+      const std::size_t a = (k * (2 * j + 1)) % (4 * n);
+      c(k, j) = s * std::cos(kPi * static_cast<double>(a) / (2.0 * nn));
     }
   }
+  return c;
 }
 
 }  // namespace
 
 FastPoisson3D::FastPoisson3D(PoissonGrid grid) : grid_(std::move(grid)) {
-  SUBSPAR_REQUIRE(grid_.nx > 0 && grid_.ny > 0 && grid_.nz > 0);
-  SUBSPAR_REQUIRE(is_power_of_two(grid_.nx) && is_power_of_two(grid_.ny));
-  SUBSPAR_REQUIRE(grid_.lateral_g.size() == grid_.nz);
-  SUBSPAR_REQUIRE(grid_.vertical_g.size() + 1 == grid_.nz || grid_.nz == 1);
-  mu_x_.resize(grid_.nx);
-  mu_y_.resize(grid_.ny);
-  for (std::size_t k = 0; k < grid_.nx; ++k)
-    mu_x_[k] = 2.0 - 2.0 * std::cos(kPi * static_cast<double>(k) / static_cast<double>(grid_.nx));
-  for (std::size_t k = 0; k < grid_.ny; ++k)
-    mu_y_[k] = 2.0 - 2.0 * std::cos(kPi * static_cast<double>(k) / static_cast<double>(grid_.ny));
-}
-
-Vector FastPoisson3D::solve(const Vector& b) const {
   const auto& g = grid_;
-  SUBSPAR_REQUIRE(b.size() == g.size());
-  std::vector<double> a(b.begin(), b.end());
-  transform_dim(a, g, /*dim=*/0, /*forward=*/true);
-  transform_dim(a, g, /*dim=*/1, /*forward=*/true);
+  SUBSPAR_REQUIRE(g.nx > 0 && g.ny > 0 && g.nz > 0);
+  SUBSPAR_REQUIRE(is_power_of_two(g.nx) && is_power_of_two(g.ny));
+  SUBSPAR_REQUIRE(g.lateral_g.size() == g.nz);
+  SUBSPAR_REQUIRE(g.vertical_g.size() + 1 == g.nz || g.nz == 1);
+  cx_ = dct2_matrix(g.nx);
+  cy_ = dct2_matrix(g.ny);
 
-  // Per-(kx, ky) tridiagonal solve along z (Thomas algorithm).
-  const std::size_t nz = g.nz;
-  std::vector<double> diag(nz), rhs(nz), cprime(nz);
+  // Pre-factor the per-(kx, ky) tridiagonal z-system (Thomas algorithm):
+  // pivots m and upper factors c', laid out [z][ky][kx] like the modes.
+  const std::size_t nz = g.nz, lanes = g.nx * g.ny;
+  pivot_.resize(nz * lanes);
+  cprime_.resize((nz - 1) * lanes);
+  auto mu = [](std::size_t k, std::size_t n) {
+    return 2.0 - 2.0 * std::cos(kPi * static_cast<double>(k) / static_cast<double>(n));
+  };
+  std::vector<double> diag(nz);
   for (std::size_t ky = 0; ky < g.ny; ++ky) {
     for (std::size_t kx = 0; kx < g.nx; ++kx) {
-      const double lat = mu_x_[kx] + mu_y_[ky];
+      const double lat = mu(kx, g.nx) + mu(ky, g.ny);
       for (std::size_t z = 0; z < nz; ++z) {
         double d = g.lateral_g[z] * lat;
         if (z > 0) d += g.vertical_g[z - 1];
@@ -75,7 +57,6 @@ Vector FastPoisson3D::solve(const Vector& b) const {
         if (z == nz - 1) d += g.top_g;
         if (z == 0) d += g.bottom_g;
         diag[z] = d;
-        rhs[z] = a[g.index(kx, ky, z)];
       }
       if (kx == 0 && ky == 0 && g.top_g == 0.0 && g.bottom_g == 0.0) {
         // Floating constant mode: anchor weakly so the solve stays defined
@@ -85,32 +66,108 @@ Vector FastPoisson3D::solve(const Vector& b) const {
         for (double v : g.lateral_g) gmax = std::max(gmax, v);
         diag[nz - 1] += 1e-10 * (gmax > 0.0 ? gmax : 1.0);
       }
-      // Thomas forward sweep.
+      const std::size_t l = kx + g.nx * ky;
       double d0 = diag[0];
       SUBSPAR_ENSURE(d0 != 0.0);
-      cprime[0] = (nz > 1) ? -g.vertical_g[0] / d0 : 0.0;
-      rhs[0] /= d0;
+      pivot_[l] = d0;
+      double cp = (nz > 1) ? -g.vertical_g[0] / d0 : 0.0;
+      if (nz > 1) cprime_[l] = cp;
       for (std::size_t z = 1; z < nz; ++z) {
         const double lower = -g.vertical_g[z - 1];
-        const double m = diag[z] - lower * cprime[z - 1];
+        const double m = diag[z] - lower * cp;
         SUBSPAR_ENSURE(m != 0.0);
-        cprime[z] = (z + 1 < nz) ? -g.vertical_g[z] / m : 0.0;
-        rhs[z] = (rhs[z] - lower * rhs[z - 1]) / m;
+        pivot_[z * lanes + l] = m;
+        if (z + 1 < nz) {
+          cp = -g.vertical_g[z] / m;
+          cprime_[z * lanes + l] = cp;
+        }
       }
-      for (std::size_t z = nz - 1; z-- > 0;) rhs[z] -= cprime[z] * rhs[z + 1];
-      for (std::size_t z = 0; z < nz; ++z) a[g.index(kx, ky, z)] = rhs[z];
     }
   }
+}
 
-  transform_dim(a, g, /*dim=*/1, /*forward=*/false);
-  transform_dim(a, g, /*dim=*/0, /*forward=*/false);
-  return Vector(std::move(a));
+void FastPoisson3D::solve_column(const double* b, std::size_t b_stride, double* x,
+                                 std::size_t x_stride) const {
+  const auto& g = grid_;
+  const std::size_t nx = g.nx, ny = g.ny, nz = g.nz, lanes = nx * ny;
+  // One column is one task: its GEMMs are too small to pay for the pool.
+  const ParallelInlineScope inline_scope;
+  // Per-thread buffers, reused across calls like the GEMM packing buffers:
+  // fresh grid-sized ones would be page-faulted in on every call, and the
+  // faults serialize the pool's threads. Rows of the (nz * ny) x nx `grid`
+  // are the x-lines; after the x- and y-transforms `modes` holds the
+  // (kx, ky, z) coefficients as [z][ky][kx].
+  thread_local struct Workspace {
+    Matrix grid, modes, plane, plane_t;
+  } ws;
+  Matrix& grid = ws.grid;
+  Matrix& modes = ws.modes;
+  Matrix& plane = ws.plane;
+  Matrix& plane_t = ws.plane_t;
+  if (grid.rows() != nz * ny || grid.cols() != nx || plane.rows() != ny) {
+    grid = Matrix(nz * ny, nx);
+    modes = Matrix(nz * ny, nx);
+    plane = Matrix(ny, nx);
+    plane_t = Matrix(ny, nx);
+  }
+  const auto zero = [](Matrix& m) { std::fill_n(m.row_ptr(0), m.rows() * m.cols(), 0.0); };
+  // y-transform of each z-plane of `modes` (contiguous ny x nx rows).
+  const auto transform_y = [&](bool forward) {
+    for (std::size_t z = 0; z < nz; ++z) {
+      double* p = modes.row_ptr(z * ny);
+      std::copy_n(p, lanes, plane.row_ptr(0));
+      zero(plane_t);
+      if (forward) {
+        matmul_add(plane_t, cy_, plane);
+      } else {
+        matmul_tn_add(plane_t, cy_, plane);
+      }
+      std::copy_n(plane_t.row_ptr(0), lanes, p);
+    }
+  };
+
+  double* gp = grid.row_ptr(0);
+  for (std::size_t i = 0; i < g.size(); ++i) gp[i] = b[i * b_stride];
+  zero(modes);
+  matmul_nt_add(modes, grid, cx_);
+  transform_y(/*forward=*/true);
+
+  // Pre-factored Thomas sweeps along z, plane by plane over contiguous
+  // lanes (one lane per (kx, ky) mode).
+  double* r = modes.row_ptr(0);
+  for (std::size_t l = 0; l < lanes; ++l) r[l] /= pivot_[l];
+  for (std::size_t z = 1; z < nz; ++z) {
+    const double lower = -g.vertical_g[z - 1];
+    const double* prev = r + (z - 1) * lanes;
+    double* rz = r + z * lanes;
+    const double* m = pivot_.data() + z * lanes;
+    for (std::size_t l = 0; l < lanes; ++l) rz[l] = (rz[l] - lower * prev[l]) / m[l];
+  }
+  for (std::size_t z = nz - 1; z-- > 0;) {
+    double* rz = r + z * lanes;
+    const double* next = rz + lanes;
+    const double* cp = cprime_.data() + z * lanes;
+    for (std::size_t l = 0; l < lanes; ++l) rz[l] -= cp[l] * next[l];
+  }
+
+  transform_y(/*forward=*/false);
+  zero(grid);
+  matmul_add(grid, modes, cx_);
+  for (std::size_t i = 0; i < g.size(); ++i) x[i * x_stride] = gp[i];
+}
+
+Vector FastPoisson3D::solve(const Vector& b) const {
+  SUBSPAR_REQUIRE(b.size() == grid_.size());
+  Vector x(b.size());
+  solve_column(b.data(), 1, x.data(), 1);
+  return x;
 }
 
 Matrix FastPoisson3D::solve_many(const Matrix& b) const {
   SUBSPAR_REQUIRE(b.rows() == grid_.size());
-  Matrix x(b.rows(), b.cols());
-  parallel_for(b.cols(), [&](std::size_t j) { x.set_col(j, solve(b.col(j))); });
+  const std::size_t k = b.cols();
+  Matrix x(b.rows(), k);
+  parallel_for(k, [&](std::size_t j) { solve_column(b.row_ptr(0) + j, k, x.row_ptr(0) + j, k); });
   return x;
 }
 

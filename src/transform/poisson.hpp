@@ -10,6 +10,15 @@
 // the paper's p parameter: p = 1 gives the pure-Dirichlet preconditioner,
 // p = 0 pure-Neumann, intermediate values the area-weighted variant of
 // Table 2.1.
+//
+// The lateral transforms are dense GEMMs on the packed kernel of
+// linalg/dense_kernels.cpp, against orthonormal DCT-II matrices Cx and Cy
+// built once, and the per-mode z-systems are factored once. One solve is
+// four transforms plus a streaming forward/back sweep over contiguous mode
+// lanes: about 4 (nx + ny) flops per grid point, O(N (nx + ny)) in all.
+// That per-point cost grows linearly with the lateral size where an FFT's
+// grows with its logarithm, so each doubling of nx and ny beyond 64 doubles
+// it, and much wider grids pay more per point than an FFT transform would.
 #pragma once
 
 #include <cstddef>
@@ -40,17 +49,21 @@ struct PoissonGrid {
 
 class FastPoisson3D {
  public:
-  /// nx and ny must be powers of two (fast DCT path); nz is arbitrary.
+  /// nx and ny must be powers of two; nz is arbitrary. Builds Cx, Cy and
+  /// the per-mode z factors (O(nx^2 + ny^2 + N) memory).
   explicit FastPoisson3D(PoissonGrid grid);
 
-  /// Exact solve of M x = b in O(N log N). If the grid is floating (no top
-  /// or bottom anchors), the all-constant mode is regularized by a tiny
-  /// anchor so M stays usable as an SPD preconditioner.
+  /// Exact solve of M x = b in O(N (nx + ny)): x- and y-transforms as
+  /// GEMMs, the cached z factors swept plane by plane, and the inverse
+  /// transforms. If the grid is floating (no top or bottom anchors), the
+  /// all-constant mode is regularized by a tiny anchor so M stays usable
+  /// as an SPD preconditioner.
   Vector solve(const Vector& b) const;
 
-  /// X = M^{-1} B for k right-hand-side columns, fanned out over the
-  /// util/parallel pool. Per-column arithmetic is exactly solve()'s, so
-  /// columns are bit-identical to single solves for any SUBSPAR_THREADS.
+  /// X = M^{-1} B for k right-hand-side columns, one util/parallel task per
+  /// column (a column's GEMMs run inline on its task). Per-column
+  /// arithmetic is exactly solve()'s, so columns are bit-identical to
+  /// single solves for any batch width and SUBSPAR_THREADS.
   Matrix solve_many(const Matrix& b) const;
 
   /// y = M x (real-space stencil application) for validation.
@@ -59,8 +72,16 @@ class FastPoisson3D {
   const PoissonGrid& grid() const { return grid_; }
 
  private:
+  /// The one solve path: x = M^{-1} b for a column read and written with
+  /// the given element strides (1 for a Vector, k for column j of an
+  /// n x k row-major Matrix).
+  void solve_column(const double* b, std::size_t b_stride, double* x,
+                    std::size_t x_stride) const;
+
   PoissonGrid grid_;
-  std::vector<double> mu_x_, mu_y_;  // Neumann Laplacian eigenvalues
+  Matrix cx_, cy_;              // orthonormal DCT-II matrices (nx x nx, ny x ny)
+  std::vector<double> pivot_;   // Thomas pivots m, [z][ky][kx]
+  std::vector<double> cprime_;  // Thomas upper factors c', [z][ky][kx], z < nz - 1
 };
 
 }  // namespace subspar

@@ -31,6 +31,7 @@
 #include "linalg/sparse.hpp"
 #include "subspar/subspar.hpp"
 #include "transform/dct.hpp"
+#include "transform/poisson.hpp"
 #include "util/rng.hpp"
 
 namespace subspar {
@@ -356,6 +357,17 @@ TEST(BackendParity, BatchedEqualsSingleBitwiseUnderEveryBackend) {
   const std::size_t n = 16;
   std::vector<double> grids(3 * n * n);
   for (auto& v : grids) v = rng.uniform(-1.0, 1.0);
+  // Fast-Poisson grid large enough for its transforms to run on the packed
+  // GEMM kernel of every backend.
+  PoissonGrid pg;
+  pg.nx = 32;
+  pg.ny = 64;
+  pg.nz = 3;
+  pg.lateral_g = {2.0, 1.0, 1.0};
+  pg.vertical_g = {1.5, 1.0};
+  pg.top_g = 0.5;
+  const FastPoisson3D fp(pg);
+  const Matrix pb = random_matrix(pg.size(), 3, rng);
 
   for (BackendKind kind : supported_backends()) {
     set_backend(kind);
@@ -379,6 +391,13 @@ TEST(BackendParity, BatchedEqualsSingleBitwiseUnderEveryBackend) {
       dct2_2d(one, n, n);
       for (std::size_t i = 0; i < one.size(); ++i)
         ASSERT_EQ(batched[g * n * n + i], one[i]) << "dct2_2d_many " << tag;
+    }
+
+    const Matrix px = fp.solve_many(pb);
+    for (std::size_t j = 0; j < pb.cols(); ++j) {
+      const Vector single = fp.solve(pb.col(j));
+      for (std::size_t i = 0; i < single.size(); ++i)
+        ASSERT_EQ(px(i, j), single[i]) << "FastPoisson3D::solve_many " << tag;
     }
   }
 }

@@ -168,42 +168,68 @@ INSTANTIATE_TEST_SUITE_P(Sizes, DctSizeSweep, ::testing::Values(1, 2, 3, 4, 7, 8
 
 // ------------------------------------------------------------ fast Poisson
 
-PoissonGrid small_grid(double top_g, double bottom_g) {
+// Two-layer profile with a boundary resistor in series between the layers.
+PoissonGrid layered_grid(std::size_t nx, std::size_t ny, std::size_t nz, double top_g,
+                         double bottom_g) {
   PoissonGrid g;
-  g.nx = 4;
-  g.ny = 8;
-  g.nz = 5;
-  g.lateral_g = {2.0, 2.0, 1.0, 1.0, 1.0};       // two-layer profile
-  g.vertical_g = {2.0, std::sqrt(2.0), 1.0, 1.0};  // boundary resistor in series
+  g.nx = nx;
+  g.ny = ny;
+  g.nz = nz;
+  for (std::size_t z = 0; z < nz; ++z) g.lateral_g.push_back(z < 2 ? 2.0 : 1.0);
+  for (std::size_t z = 0; z + 1 < nz; ++z)
+    g.vertical_g.push_back(z == 0 ? 2.0 : (z == 1 ? std::sqrt(2.0) : 1.0));
   g.top_g = top_g;
   g.bottom_g = bottom_g;
   return g;
 }
 
+PoissonGrid small_grid(double top_g, double bottom_g) {
+  return layered_grid(4, 8, 5, top_g, bottom_g);
+}
+
+// Grids large enough for the transforms to leave the small-product branch
+// of the dense kernels: the x-transform GEMM (nz * ny x nx by nx) of both,
+// and the per-plane y-transform (ny x ny by ny x nx) of the second.
+PoissonGrid packed_grid(double top_g, double bottom_g) {
+  return layered_grid(32, 16, 6, top_g, bottom_g);
+}
+PoissonGrid packed_grid_tall(double top_g, double bottom_g) {
+  return layered_grid(32, 64, 4, top_g, bottom_g);
+}
+
 TEST(FastPoisson, SolveInvertsApply) {
-  const FastPoisson3D fp(small_grid(0.7, 0.0));
-  Rng rng(12);
-  Vector b(fp.grid().size());
-  for (auto& v : b) v = rng.normal();
-  const Vector x = fp.solve(b);
-  EXPECT_LT(norm2(fp.apply(x) - b), 1e-10 * norm2(b));
+  // 32 x 32 x 3 right after 32 x 16 x 6: same grid-view shape, different
+  // plane shape, so the per-thread work buffers must be resized.
+  for (const PoissonGrid& g : {small_grid(0.7, 0.0), packed_grid(0.7, 0.0),
+                               layered_grid(32, 32, 3, 0.7, 0.0), packed_grid_tall(0.3, 1.5)}) {
+    const FastPoisson3D fp(g);
+    Rng rng(12);
+    Vector b(fp.grid().size());
+    for (auto& v : b) v = rng.normal();
+    const Vector x = fp.solve(b);
+    EXPECT_LT(norm2(fp.apply(x) - b), 1e-10 * norm2(b)) << g.nx << "x" << g.ny << "x" << g.nz;
+  }
 }
 
 TEST(FastPoisson, MatchesDenseCholesky) {
-  const FastPoisson3D fp(small_grid(0.3, 1.5));
-  const std::size_t n = fp.grid().size();
-  // Build the dense operator column by column via apply().
-  Matrix a(n, n);
-  for (std::size_t j = 0; j < n; ++j) {
-    Vector e(n);
-    e[j] = 1.0;
-    a.set_col(j, fp.apply(e));
+  // The 32 x 16 x 3 grid keeps the dense factorization small while its
+  // x-transform is still a packed GEMM.
+  for (const PoissonGrid& g : {small_grid(0.3, 1.5), layered_grid(32, 16, 3, 0.3, 1.5)}) {
+    const FastPoisson3D fp(g);
+    const std::size_t n = fp.grid().size();
+    // Build the dense operator column by column via apply().
+    Matrix a(n, n);
+    for (std::size_t j = 0; j < n; ++j) {
+      Vector e(n);
+      e[j] = 1.0;
+      a.set_col(j, fp.apply(e));
+    }
+    const Cholesky chol(a);
+    Rng rng(13);
+    Vector b(n);
+    for (auto& v : b) v = rng.normal();
+    EXPECT_LT(norm2(fp.solve(b) - chol.solve(b)), 1e-9 * norm2(b)) << g.nx << "x" << g.ny;
   }
-  const Cholesky chol(a);
-  Rng rng(13);
-  Vector b(n);
-  for (auto& v : b) v = rng.normal();
-  EXPECT_LT(norm2(fp.solve(b) - chol.solve(b)), 1e-9 * norm2(b));
 }
 
 TEST(FastPoisson, FloatingGridHandlesConstantMode) {
@@ -234,6 +260,28 @@ TEST(FastPoisson, RejectsNonPowerOfTwoLateralDims) {
   PoissonGrid g = small_grid(0.1, 0.0);
   g.nx = 6;
   EXPECT_THROW(FastPoisson3D{g}, std::invalid_argument);
+}
+
+TEST(FastPoisson, SolveManyColumnsBitwiseEqualSolve) {
+  // Column j of a batch is solve(column j) exactly, whatever the batch
+  // width and pool size.
+  for (const PoissonGrid& g : {packed_grid(0.7, 0.0), packed_grid_tall(0.0, 0.0)}) {
+    const FastPoisson3D fp(g);
+    Rng rng(19);
+    Matrix b(g.size(), 5);
+    for (std::size_t i = 0; i < b.rows(); ++i)
+      for (std::size_t j = 0; j < b.cols(); ++j) b(i, j) = rng.normal();
+    for (const std::size_t threads : {1u, 4u}) {
+      set_thread_count(threads);
+      const Matrix x = fp.solve_many(b);
+      for (std::size_t j = 0; j < b.cols(); ++j) {
+        const Vector xj = fp.solve(b.col(j));
+        for (std::size_t i = 0; i < xj.size(); ++i)
+          ASSERT_EQ(x(i, j), xj[i]) << "threads=" << threads << " col " << j;
+      }
+    }
+    set_thread_count(1);
+  }
 }
 
 class PoissonTopG : public ::testing::TestWithParam<double> {};
