@@ -1,7 +1,7 @@
 // Microkernel throughput (google-benchmark): the computational primitives
-// every experiment stands on — FFT/DCT, small SVDs, the fast Poisson solve,
-// one black-box substrate solve, and one apply of the phase-1 low-rank
-// representation.
+// every experiment stands on — dense GEMMs (which also carry both solvers'
+// cosine transforms), small SVDs, the fast Poisson solve, one black-box
+// substrate solve, and one apply of the phase-1 low-rank representation.
 #include <benchmark/benchmark.h>
 
 #include "common.hpp"
@@ -10,52 +10,6 @@ using namespace subspar;
 using namespace subspar::bench;
 
 namespace {
-
-void BM_Fft(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  Rng rng(1);
-  std::vector<Complex> x(n);
-  for (auto& v : x) v = Complex(rng.normal(), rng.normal());
-  for (auto _ : state) {
-    auto y = x;
-    fft(y);
-    benchmark::DoNotOptimize(y);
-  }
-  state.SetItemsProcessed(static_cast<long>(state.iterations()) * static_cast<long>(n));
-}
-BENCHMARK(BM_Fft)->Arg(256)->Arg(1024)->Arg(4096);
-
-void BM_Dct2d(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  Rng rng(2);
-  std::vector<double> a(n * n);
-  for (auto& v : a) v = rng.normal();
-  for (auto _ : state) {
-    auto b = a;
-    dct2_2d(b, n, n);
-    benchmark::DoNotOptimize(b);
-  }
-  state.SetItemsProcessed(static_cast<long>(state.iterations()) * static_cast<long>(n * n));
-}
-BENCHMARK(BM_Dct2d)->Arg(64)->Arg(128);
-
-// Batched 2-D DCT: `range` independent 64x64 grids per call, threaded over
-// the SUBSPAR_THREADS pool.
-void BM_Dct2dMany(benchmark::State& state) {
-  const std::size_t n = 64;
-  const auto batch = static_cast<std::size_t>(state.range(0));
-  Rng rng(2);
-  std::vector<double> a(batch * n * n);
-  for (auto& v : a) v = rng.normal();
-  for (auto _ : state) {
-    auto b = a;
-    dct2_2d_many(b, n, n, batch);
-    benchmark::DoNotOptimize(b);
-  }
-  state.SetItemsProcessed(static_cast<long>(state.iterations()) *
-                          static_cast<long>(batch * n * n));
-}
-BENCHMARK(BM_Dct2dMany)->Arg(4)->Arg(16);
 
 // ---- dense kernel layer: blocked matmul / gram / tall SVD
 
@@ -206,8 +160,9 @@ void BM_SurfaceSolve(benchmark::State& state) {
 }
 BENCHMARK(BM_SurfaceSolve);
 
-// k right-hand sides through one solve_many call (blocked PCG + batched
-// DCT applies) on the BM_SurfaceSolve layout. Compare k * BM_SurfaceSolve
+// k right-hand sides through one solve_many call (blocked PCG whose
+// operator applies are restricted-GEMM transforms, one task per column) on
+// the BM_SurfaceSolve layout. Compare k * BM_SurfaceSolve
 // wall-clock against one BM_BatchedSolve/k iteration.
 void BM_BatchedSolve(benchmark::State& state) {
   static SolveFixtureState fx;

@@ -13,7 +13,7 @@
 //   subspar/report.hpp      accuracy/sparsity scoring vs exact columns
 //   subspar/methods.hpp     wavelet / low-rank method internals
 //   subspar/linalg.hpp      Vector/Matrix/SparseMatrix/SVD
-//   subspar/transform.hpp   FFT/DCT/fast-Poisson kernels
+//   subspar/transform.hpp   DCT-II matrix, fast-Poisson solver
 //   subspar/circuit.hpp     MNA netlist + transient simulator
 //   subspar/util.hpp        checks, RNG, timers, tables, thread pool
 //

@@ -2,7 +2,7 @@
 
 #include <vector>
 
-#include "transform/fft.hpp"
+#include "util/check.hpp"
 #include "util/rng.hpp"
 
 namespace subspar {

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "transform/fft.hpp"
+#include "util/check.hpp"
 
 namespace subspar {
 

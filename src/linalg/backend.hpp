@@ -1,17 +1,19 @@
 // Runtime-dispatched SIMD kernel backend (ROADMAP item 4).
 //
-// The hot kernels — the packed GEMM micro-kernel, the multi-RHS CSR
-// SpMM row kernels, and the DCT twiddle/dense loops — are compiled several
-// times into per-ISA translation units (scalar baseline, AVX2+FMA, AVX-512,
-// NEON) and selected ONCE per process through a table of function pointers.
+// The hot kernels — the packed GEMM micro-kernel (behind every dense
+// product, the cosine transforms of both DCT-diagonalized solvers included)
+// and the multi-RHS CSR SpMM row kernels — are compiled several times into
+// per-ISA translation units (scalar baseline, AVX2+FMA, AVX-512, NEON) and
+// selected ONCE per process through a table of function pointers.
 // One binary therefore serves every ISA: the default build carries all
 // variants the compiler can target and CPUID picks the best supported one
 // at first use, overridable with SUBSPAR_BACKEND=scalar|avx2|avx512|neon.
 //
 // Contracts:
-//  - kScalar is the bit-exact deterministic reference: its kernels are the
-//    pre-backend code compiled with the build's baseline flags, so forcing
-//    SUBSPAR_BACKEND=scalar reproduces the golden pins bit for bit.
+//  - kScalar is the bit-exact deterministic reference: its kernels compute
+//    each output as the ascending-index sum of products at the build's
+//    baseline flags, so forcing SUBSPAR_BACKEND=scalar reproduces the golden
+//    pins bit for bit.
 //  - SIMD backends keep the same per-output accumulation ORDER (ascending
 //    inner index per output element) but may contract multiply-adds into
 //    FMAs and vectorize across independent outputs, so they agree with
@@ -57,20 +59,6 @@ struct KernelOps {
   void (*spmm_t_row_f64)(const double* vals, const std::size_t* cols, std::size_t nnz,
                          const double* xrow, std::size_t j0, std::size_t j1, double* y,
                          std::size_t ldy);
-
-  /// Contiguous dot products (the dense-table DCT path).
-  double (*dot_f64)(const double* a, const double* b, std::size_t n);
-
-  /// DCT-II post-twiddle: x[0] = re(v[0]) * s0, x[k] = (tc[k] re(v[k]) -
-  /// ts[k] im(v[k])) * sk for k in [1, n). `v` is n interleaved (re, im)
-  /// pairs (std::complex<double> layout).
-  void (*dct2_post_f64)(const double* tc, const double* ts, const double* v, double* x,
-                        std::size_t n, double s0, double sk);
-  /// DCT-III pre-twiddle: v[0] = (x[0]/s0, 0) and for k in [1, n) with
-  /// c = tc[k], s = -ts[k], ck = x[k]/sk, cnk = x[n-k]/sk:
-  /// v[k] = (c ck + s cnk, s ck - c cnk).
-  void (*dct3_pre_f64)(const double* tc, const double* ts, const double* x, double* v,
-                       std::size_t n, double s0, double sk);
 };
 
 /// Backends compiled into this binary (always contains kScalar; the SIMD

@@ -9,7 +9,6 @@
 #include "linalg/cholesky.hpp"
 #include "linalg/robust.hpp"
 #include "transform/dct.hpp"
-#include "transform/fft.hpp"
 #include "util/check.hpp"
 #include "util/parallel.hpp"
 
@@ -44,6 +43,27 @@ double sinc_factor(std::size_t m, std::size_t panels) {
   return std::sin(u) / u;
 }
 
+// Per-thread operator buffers, reused across calls like the GEMM packing
+// buffers: fresh grid-sized ones would be page-faulted in on every call, and
+// the faults serialize the pool's threads.
+struct OperatorWorkspace {
+  Matrix sub, half, modes, back, out;
+};
+
+OperatorWorkspace& operator_workspace() {
+  thread_local OperatorWorkspace ws;
+  return ws;
+}
+
+// Zero `m` at the given shape, reallocating only when the shape changes.
+void zero_fit(Matrix& m, std::size_t rows, std::size_t cols) {
+  if (m.rows() != rows || m.cols() != cols) {
+    m = Matrix(rows, cols);
+  } else {
+    std::fill_n(m.row_ptr(0), rows * cols, 0.0);
+  }
+}
+
 }  // namespace
 
 double kernel_block_entry(const Vector& kernel, std::size_t mx, std::size_t ny,
@@ -59,9 +79,13 @@ struct SurfaceSolver::Impl {
   SubstrateStack stack;
   SurfaceSolverOptions options;
 
-  std::vector<double> lambda_tilde;       // (m, n) -> scaled eigenvalue, row-major m*N+n
-  std::vector<std::size_t> panels;        // flattened contact-panel grid indices
-  std::vector<std::size_t> contact_begin; // offsets into `panels`, size n+1
+  // Grid storage is x + mx * y: a grid is an ny x mx row-major matrix whose
+  // modes are Cy G Cx', laid out [ky][kx].
+  Matrix cx, cy;                          // orthonormal DCT-II matrices
+  Matrix cx_r, cy_r;                      // their columns at the contact columns Rx / rows Ry
+  std::vector<double> lambda;             // scaled eigenvalue per mode, [ky][kx]
+  std::vector<std::size_t> slot;          // each contact panel's index in the |Ry| x |Rx| sub-grid
+  std::vector<std::size_t> contact_begin; // offsets into `slot`, size n+1
   std::vector<Cholesky> block_factors;    // per-contact preconditioner blocks
   mutable std::unique_ptr<Cholesky> direct_factor;  // lazy dense fallback factor
   mutable long total_iterations = 0;
@@ -72,46 +96,57 @@ struct SurfaceSolver::Impl {
 
   std::size_t grid_size() const { return layout.panels_x() * layout.panels_y(); }
 
-  // Eigenvalue multiply on one already-transformed grid.
-  void scale_modes(double* a) const {
-    const std::size_t mx = layout.panels_x(), ny = layout.panels_y();
-    for (std::size_t y = 0; y < ny; ++y)
-      for (std::size_t x = 0; x < mx; ++x) a[y * mx + x] *= lambda_tilde[x * ny + y];
+  // The one operator path, on the sub-grid of grid rows Ry and columns Rx
+  // with cyr = Cy[:, Ry] and cxr = Cx[:, Rx]:
+  //   ws.out = cyr' (Lambda o (cyr ws.sub cxr')) cxr.
+  // The caller fills ws.sub (|Ry| x |Rx|). With the full Cy and Cx this is
+  // the whole-grid operator. One column is one task: its GEMMs are too
+  // small to pay for the pool, and their shapes depend only on the layout,
+  // so a column's bits do not depend on the batch width or the pool size.
+  void apply_sub(const Matrix& cyr, const Matrix& cxr, OperatorWorkspace& ws) const {
+    const ParallelInlineScope inline_scope;
+    const std::size_t ny = cyr.rows(), mx = cxr.rows();
+    zero_fit(ws.half, ny, cxr.cols());
+    matmul_add(ws.half, cyr, ws.sub);
+    zero_fit(ws.modes, ny, mx);
+    matmul_nt_add(ws.modes, ws.half, cxr);
+    double* u = ws.modes.row_ptr(0);
+    for (std::size_t i = 0; i < ny * mx; ++i) u[i] *= lambda[i];
+    zero_fit(ws.back, cyr.cols(), mx);
+    matmul_tn_add(ws.back, cyr, ws.modes);
+    zero_fit(ws.out, cyr.cols(), cxr.cols());
+    matmul_add(ws.out, ws.back, cxr);
   }
 
+  // Full-grid apply (the block-Jacobi kernel, apply_panel_operator): rare,
+  // so its buffers are its own and the per-thread ones keep the restricted
+  // shapes.
   Vector apply_grid(const Vector& q) const {
-    const std::size_t mx = layout.panels_x(), ny = layout.panels_y();
-    std::vector<double> a(q.begin(), q.end());
-    // Grid storage is x + mx * y; rows of length mx vary x, so the
-    // row-transform runs over x (modes m) and the column transform over y.
-    dct2_2d(a, ny, mx);
-    scale_modes(a.data());
-    dct3_2d(a, ny, mx);
-    return Vector(std::move(a));
+    OperatorWorkspace ws;
+    ws.sub = Matrix(cy.rows(), cx.rows());
+    std::copy(q.begin(), q.end(), ws.sub.row_ptr(0));
+    apply_sub(cy, cx, ws);
+    Vector v(q.size());
+    std::copy_n(ws.out.row_ptr(0), v.size(), v.data());
+    return v;
   }
 
-  // Restricted operator on all columns at once: pad each column into its
-  // own panel grid, run the batched 2-D DCTs (threaded over columns),
-  // scale by the operator eigenvalues, transform back, restrict. Identical
-  // per-column arithmetic to the single-vector path for any thread count.
+  // The restricted operator A_cc on all columns: each column scattered into
+  // the contact sub-grid and gathered back, one util/parallel task per
+  // column.
   Matrix apply_restricted_many(const Matrix& x) const {
-    const std::size_t mx = layout.panels_x(), ny = layout.panels_y();
-    const std::size_t gsz = grid_size();
-    const std::size_t k = x.cols();
-    std::vector<double> grids(k * gsz, 0.0);
-    for (std::size_t j = 0; j < k; ++j) {
-      double* g = grids.data() + j * gsz;
-      for (std::size_t idx = 0; idx < panels.size(); ++idx) g[panels[idx]] = x(idx, j);
-    }
-    dct2_2d_many(grids, ny, mx, k);
-    parallel_for(k, [&](std::size_t j) { scale_modes(grids.data() + j * gsz); });
-    dct3_2d_many(grids, ny, mx, k);
-    Matrix out(panels.size(), k);
-    for (std::size_t j = 0; j < k; ++j) {
-      const double* g = grids.data() + j * gsz;
-      for (std::size_t idx = 0; idx < panels.size(); ++idx) out(idx, j) = g[panels[idx]];
-    }
-    return out;
+    const std::size_t p = slot.size(), k = x.cols();
+    Matrix y(p, k);
+    parallel_for(k, [&](std::size_t j) {
+      OperatorWorkspace& ws = operator_workspace();
+      zero_fit(ws.sub, cy_r.cols(), cx_r.cols());
+      double* sub = ws.sub.row_ptr(0);
+      for (std::size_t idx = 0; idx < p; ++idx) sub[slot[idx]] = x(idx, j);
+      apply_sub(cy_r, cx_r, ws);
+      const double* out = ws.out.row_ptr(0);
+      for (std::size_t idx = 0; idx < p; ++idx) y(idx, j) = out[slot[idx]];
+    });
+    return y;
   }
 
   // Block-Jacobi preconditioner applied per column (threaded).
@@ -136,10 +171,10 @@ struct SurfaceSolver::Impl {
   // every later fallback.
   Matrix direct_solve(const Matrix& b) const {
     if (!direct_factor) {
-      const std::size_t p = panels.size();
+      const std::size_t p = slot.size();
       Matrix a_cc = apply_restricted_many(Matrix::identity(p));
-      // The DCT round trip is symmetric only to rounding; Cholesky needs it
-      // exact.
+      // The transform round trip is symmetric only to rounding; Cholesky
+      // needs it exact.
       for (std::size_t i = 0; i < p; ++i)
         for (std::size_t j = i + 1; j < p; ++j) {
           const double v = 0.5 * (a_cc(i, j) + a_cc(j, i));
@@ -161,7 +196,7 @@ struct SurfaceSolver::Impl {
     for (std::size_t j0 = 0; j0 < k; j0 += kMaxSolveBlock) {
       const std::size_t kc = std::min(kMaxSolveBlock, k - j0);
       // Right-hand sides: each contact's panels sit at the contact voltage.
-      Matrix v(panels.size(), kc);
+      Matrix v(slot.size(), kc);
       for (std::size_t j = 0; j < kc; ++j)
         for (std::size_t c = 0; c < n; ++c)
           for (std::size_t idx = contact_begin[c]; idx < contact_begin[c + 1]; ++idx)
@@ -176,7 +211,7 @@ struct SurfaceSolver::Impl {
       const FunctionPreconditioner pre(
           [&](const Matrix& r) { return precondition_many(r); });
       const DirectSolveFn direct =
-          panels.size() <= kMaxDirectDim
+          slot.size() <= kMaxDirectDim
               ? DirectSolveFn([&](const Matrix& bb) { return direct_solve(bb); })
               : DirectSolveFn();
       const Matrix q = robust_pcg_block(
@@ -212,8 +247,8 @@ SurfaceSolver::SurfaceSolver(const Layout& layout, const SubstrateStack& stack,
   const std::size_t mx = layout.panels_x(), ny = layout.panels_y();
   const double a = layout.width(), b = layout.height();
   const double h2 = layout.panel_size() * layout.panel_size();
-  auto& lt = impl_->lambda_tilde;
-  lt.resize(mx * ny);
+  auto& lam_modes = impl_->lambda;
+  lam_modes.resize(mx * ny);
   for (std::size_t m = 0; m < mx; ++m) {
     for (std::size_t n = 0; n < ny; ++n) {
       double lam;
@@ -226,16 +261,41 @@ SurfaceSolver::SurfaceSolver(const Layout& layout, const SubstrateStack& stack,
       }
       const double sm = sinc_factor(m, mx);
       const double sn = sinc_factor(n, ny);
-      lt[m * ny + n] = lam * sm * sm * sn * sn / h2;
-      SUBSPAR_ENSURE(lt[m * ny + n] > 0.0 && std::isfinite(lt[m * ny + n]));
+      double& l = lam_modes[n * mx + m];
+      l = lam * sm * sm * sn * sn / h2;
+      SUBSPAR_ENSURE(l > 0.0 && std::isfinite(l));
     }
   }
+  impl_->cx = dct2_matrix(mx);
+  impl_->cy = dct2_matrix(ny);
 
-  // Flatten contact panels.
+  // The contact sub-grid: grid rows Ry and columns Rx holding any contact
+  // panel, in ascending order, and each panel's slot in it.
+  std::vector<std::size_t> pos_x(mx, 0), pos_y(ny, 0);
+  for (std::size_t c = 0; c < layout.n_contacts(); ++c)
+    for (const std::size_t p : layout.contact_panels(c)) pos_x[p % mx] = pos_y[p / mx] = 1;
+  // Keeps the DCT-II columns of the used rows (or columns) of `full`,
+  // turning `pos` from a used flag into each used index's position.
+  const auto restrict_columns = [](const Matrix& full, std::vector<std::size_t>& pos) {
+    std::vector<std::size_t> used;
+    for (std::size_t i = 0; i < pos.size(); ++i)
+      if (pos[i] != 0) {
+        pos[i] = used.size();
+        used.push_back(i);
+      }
+    Matrix r(full.rows(), used.size());
+    for (std::size_t k = 0; k < full.rows(); ++k)
+      for (std::size_t c = 0; c < used.size(); ++c) r(k, c) = full(k, used[c]);
+    return r;
+  };
+  impl_->cx_r = restrict_columns(impl_->cx, pos_x);
+  impl_->cy_r = restrict_columns(impl_->cy, pos_y);
+  const std::size_t rx = impl_->cx_r.cols();
   impl_->contact_begin.push_back(0);
   for (std::size_t c = 0; c < layout.n_contacts(); ++c) {
-    for (const std::size_t p : layout.contact_panels(c)) impl_->panels.push_back(p);
-    impl_->contact_begin.push_back(impl_->panels.size());
+    for (const std::size_t p : layout.contact_panels(c))
+      impl_->slot.push_back(pos_y[p / mx] * rx + pos_x[p % mx]);
+    impl_->contact_begin.push_back(impl_->slot.size());
   }
 
   if (options.contact_block_precond) {

@@ -9,6 +9,21 @@
 // (optionally block-preconditioned) CG; contact currents are the per-contact
 // panel-current sums.
 //
+// The DCT is applied as dense GEMMs against the orthonormal DCT-II
+// matrices Cy and Cx (transform/dct.hpp). A_cc = P' A P only reads and
+// writes contact panels, so its transforms keep just the columns of Cy and
+// Cx at the grid rows Ry and columns Rx that hold a contact:
+//   A_cc x = P' Cy[:,Ry]' (Lambda o (Cy[:,Ry] X Cx[:,Rx]')) Cx[:,Rx],
+// with X the contact panels scattered into the |Ry| x |Rx| sub-grid. The
+// full-grid operator is the same function with Ry and Rx the whole grid.
+//
+// Grid limit: a GEMM transform costs O(n) per grid point where an FFT costs
+// O(log n). On one core of an AVX-512 Xeon (gcc 12, Release), one full 2-D
+// transform as two GEMMs beats a radix-2 FFT-based DCT through 256 x 256
+// panels (3.2x faster at 64^2, 1.5x at 256^2) and loses at 512 x 512 (0.6x).
+// 256 x 256 is the largest grid any layout in this repository builds
+// (table 4.3 at --full scale).
+//
 // This solver plays the role of Chou's QuickSub integral-equation code in
 // the paper's experiments: same operator, different (CG vs multigrid) inner
 // iteration. Like QuickSub it requires a grounded backplane; floating
@@ -53,8 +68,9 @@ class SurfaceSolver : public SubstrateSolver {
  protected:
   Vector do_solve(const Vector& contact_voltages) const override;
   /// Batched solve: one blocked PCG over all columns (chunked to a small
-  /// block width), with batched DCT operator applications fanned out over
-  /// the SUBSPAR_THREADS pool.
+  /// block width). Each operator application runs the restricted transforms
+  /// of every column as one SUBSPAR_THREADS pool task per column; a
+  /// column's arithmetic does not depend on the batch width or pool size.
   Matrix do_solve_many(const Matrix& contact_voltages) const override;
 
  private:

@@ -14,7 +14,6 @@
 #include "linalg/robust.hpp"
 #include "linalg/sparse.hpp"
 #include "substrate/multigrid.hpp"
-#include "transform/fft.hpp"
 #include "transform/poisson.hpp"
 #include "util/check.hpp"
 

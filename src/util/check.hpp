@@ -7,10 +7,15 @@
 // extraction run.
 #pragma once
 
+#include <cstddef>
 #include <stdexcept>
 #include <string>
 
 namespace subspar {
+
+/// The grid-size precondition of the quadtree and of both DCT-diagonalized
+/// solvers.
+inline bool is_power_of_two(std::size_t n) { return n > 0 && (n & (n - 1)) == 0; }
 
 [[noreturn]] inline void fail_require(const char* cond, const char* file, int line) {
   throw std::invalid_argument(std::string("requirement failed: ") + cond + " at " + file + ":" +

@@ -5,18 +5,18 @@
 // supports.
 //
 // Parity contract (backend.hpp): the scalar backend is the bit-exact
-// reference; SIMD backends agree within a few ulp. Kernels that vectorize
-// ACROSS outputs (SpMM over RHS columns, the DCT twiddle loops) keep each
-// output's accumulation order and are bit-identical to scalar on x86 by
-// the FMA contraction policy (src/CMakeLists.txt); kernels that vectorize
-// WITHIN a reduction (dot, and GEMM with its deliberate contraction)
-// reassociate and may differ in the last ulp of the accumulation. On a cancelling sum the
-// ulp distance of the (tiny) result is the wrong yardstick for that, so
-// the GEMM checks bound |ref - got| by 4 ulp of the accumulation
-// magnitude max|A| * max|B| * k, falling back to plain elementwise ulp
-// distance for well-conditioned entries.
+// reference; SIMD backends agree within a few ulp. The SpMM row kernels
+// vectorize ACROSS outputs (right-hand-side columns), keep each output's
+// accumulation order, and are bit-identical to scalar on x86 by the FMA
+// contraction policy (src/CMakeLists.txt). The GEMM micro-kernel contracts
+// on purpose and may differ in the last ulp of the accumulation. On a
+// cancelling sum the ulp distance of the (tiny) result is the wrong
+// yardstick for that, so the GEMM checks bound |ref - got| by 4 ulp of the
+// accumulation magnitude max|A| * max|B| * k, falling back to plain
+// elementwise ulp distance for well-conditioned entries.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -30,7 +30,6 @@
 #include "linalg/matrix.hpp"
 #include "linalg/sparse.hpp"
 #include "subspar/subspar.hpp"
-#include "transform/dct.hpp"
 #include "transform/poisson.hpp"
 #include "util/rng.hpp"
 
@@ -268,6 +267,49 @@ TEST(BackendParity, GemmFamilyWithin4UlpOfScalarOnFuzzedShapes) {
   }
 }
 
+#if defined(__x86_64__) || defined(__i386__)
+TEST(BackendParity, ScalarGemmFamilyBitwiseEqualsAscendingKReference) {
+  // The scalar backend is the bit-exact reference: every element of a
+  // packed-path product is the ascending-k sum of separately rounded
+  // products (x86's baseline ISA has no fused multiply-add). The shapes
+  // leave ragged MR-row and NR-column tails and span several output tiles.
+  BackendGuard guard;
+  set_backend(BackendKind::kScalar);
+  const auto reference = [](const Matrix& a, bool a_t, const Matrix& b, bool b_t) {
+    const std::size_t m = a_t ? a.cols() : a.rows(), k = a_t ? a.rows() : a.cols();
+    const std::size_t n = b_t ? b.rows() : b.cols();
+    Matrix c(m, n);
+    for (std::size_t i = 0; i < m; ++i)
+      for (std::size_t j = 0; j < n; ++j) {
+        double s = 0.0;
+        for (std::size_t l = 0; l < k; ++l) {
+          const double p = (a_t ? a(l, i) : a(i, l)) * (b_t ? b(j, l) : b(l, j));
+          s += p;
+        }
+        c(i, j) = s;
+      }
+    return c;
+  };
+  Rng rng(4471);
+  for (const auto& [m, k, n] : {std::array<std::size_t, 3>{67, 45, 35},
+                                std::array<std::size_t, 3>{130, 33, 77},
+                                std::array<std::size_t, 3>{5, 301, 29},
+                                std::array<std::size_t, 3>{93, 70, 141}}) {
+    const std::string tag =
+        std::to_string(m) + "x" + std::to_string(k) + "x" + std::to_string(n);
+    const Matrix a = random_matrix(m, k, rng);
+    const Matrix b = random_matrix(k, n, rng);
+    const Matrix at = a.transposed();
+    const Matrix bt = b.transposed();
+    const Matrix ref = reference(a, false, b, false);
+    expect_bitwise(ref, matmul(a, b), "matmul " + tag);
+    expect_bitwise(ref, matmul_tn(at, b), "matmul_tn " + tag);
+    expect_bitwise(ref, matmul_nt(a, bt), "matmul_nt " + tag);
+    expect_bitwise(reference(b, true, b, false), gram_tn(b), "gram_tn " + tag);
+  }
+}
+#endif
+
 TEST(BackendParity, SpmmMatchesScalarOnFuzzedMatrices) {
   BackendGuard guard;
   Rng rng(993);
@@ -298,52 +340,6 @@ TEST(BackendParity, SpmmMatchesScalarOnFuzzedMatrices) {
   }
 }
 
-TEST(BackendParity, DctRoundTripUnderEveryBackend) {
-  BackendGuard guard;
-  Rng rng(31337);
-  // 32: power-of-two Makhoul/FFT path (backend twiddle kernels);
-  // 24: dense O(N^2) path (backend GEMV over the transform matrix).
-  for (const std::size_t n : {std::size_t{32}, std::size_t{24}}) {
-    std::vector<double> base(n * n);
-    for (auto& v : base) v = rng.uniform(-1.0, 1.0);
-
-    set_backend(BackendKind::kScalar);
-    std::vector<double> ref = base;
-    dct2_2d(ref, n, n);
-
-    for (BackendKind kind : supported_backends()) {
-      set_backend(kind);
-      const std::string tag = std::string(backend_name(kind)) + " n=" + std::to_string(n);
-
-      // Each output is an accumulation of n terms bounded by sqrt(2/n):
-      // the dense path's dot_f64 reassociates, so measure the 4-ulp
-      // agreement against that magnitude, as with GEMM.
-      const double dct_tol = 4.0 * std::ldexp(std::sqrt(2.0 * static_cast<double>(n)), -52);
-      std::vector<double> fwd = base;
-      dct2_2d(fwd, n, n);
-      for (std::size_t i = 0; i < fwd.size(); ++i) {
-        if (ulp_distance(ref[i], fwd[i]) <= 4) continue;
-        ASSERT_LE(std::abs(ref[i] - fwd[i]), dct_tol) << "dct2 " << tag << " i=" << i;
-      }
-#if defined(__x86_64__) || defined(__i386__)
-      // The power-of-two path's twiddle kernels vectorize across outputs
-      // (order-preserving): bit-exact against scalar on x86. The dense
-      // path reduces through dot_f64, which reassociates — ulp only.
-      if ((n & (n - 1)) == 0) {
-        for (std::size_t i = 0; i < fwd.size(); ++i) {
-          ASSERT_EQ(ref[i], fwd[i]) << "dct2 bitwise " << tag << " i=" << i;
-        }
-      }
-#endif
-
-      std::vector<double> back = fwd;
-      dct3_2d(back, n, n);
-      for (std::size_t i = 0; i < back.size(); ++i)
-        EXPECT_NEAR(back[i], base[i], 1e-12) << "round-trip " << tag << " i=" << i;
-    }
-  }
-}
-
 TEST(BackendParity, BatchedEqualsSingleBitwiseUnderEveryBackend) {
   // The invariant the FMA contraction policy exists to protect: batched
   // entry points are bit-identical to their one-at-a-time equivalents
@@ -354,9 +350,6 @@ TEST(BackendParity, BatchedEqualsSingleBitwiseUnderEveryBackend) {
   const SparseMatrix a = random_spd(120, 3, rng);
   const std::size_t kRhs = 6;
   const Matrix x = random_matrix(120, kRhs, rng);
-  const std::size_t n = 16;
-  std::vector<double> grids(3 * n * n);
-  for (auto& v : grids) v = rng.uniform(-1.0, 1.0);
   // Fast-Poisson grid large enough for its transforms to run on the packed
   // GEMM kernel of every backend.
   PoissonGrid pg;
@@ -382,15 +375,6 @@ TEST(BackendParity, BatchedEqualsSingleBitwiseUnderEveryBackend) {
         ASSERT_EQ(many(i, j), single[i]) << "apply_many " << tag;
         ASSERT_EQ(t_many(i, j), t_single[i]) << "apply_t_many " << tag;
       }
-    }
-
-    std::vector<double> batched = grids;
-    dct2_2d_many(batched, n, n, 3);
-    for (std::size_t g = 0; g < 3; ++g) {
-      std::vector<double> one(grids.begin() + g * n * n, grids.begin() + (g + 1) * n * n);
-      dct2_2d(one, n, n);
-      for (std::size_t i = 0; i < one.size(); ++i)
-        ASSERT_EQ(batched[g * n * n + i], one[i]) << "dct2_2d_many " << tag;
     }
 
     const Matrix px = fp.solve_many(pb);

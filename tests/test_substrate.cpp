@@ -5,8 +5,11 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "geometry/layout_gen.hpp"
+#include "linalg/cholesky.hpp"
 #include "substrate/eigen_solver.hpp"
 #include "substrate/fd_solver.hpp"
 #include "substrate/multigrid.hpp"
@@ -215,6 +218,68 @@ TEST(SurfaceSolver, RejectsFloatingBackplane) {
   const SubstrateStack st({{8.0, 1.0}}, Backplane::kFloating);
   EXPECT_THROW(SurfaceSolver(l, st), std::invalid_argument);
 }
+
+// The solver iterates on A_cc through transforms restricted to the grid
+// rows and columns that hold contacts. A dense A_cc assembled from the
+// full-grid operator (apply_panel_operator) and solved by Cholesky must
+// give the same conductance columns, so the restricted path is the same
+// operator. Regular, irregular (voids: the sub-grid is strictly smaller
+// than the grid) and rectangular nx != ny layouts.
+Layout differential_layout(int which) {
+  if (which == 0) return regular_grid_layout(4);
+  if (which == 1) return irregular_layout(8, 0.5, 11);
+  Layout l(32, 8, 2.0);
+  l.add_contact(Contact(1, 1, 2, 2));
+  l.add_contact(Contact(5, 0, 4, 1));
+  l.add_contact(Contact(12, 3, 3, 3));
+  l.add_contact(Contact(20, 1, 1, 5));
+  l.add_contact(Contact(26, 5, 4, 2));
+  return l;
+}
+
+class SurfaceRestrictedOperator : public ::testing::TestWithParam<int> {};
+
+TEST_P(SurfaceRestrictedOperator, SolveManyMatchesCholeskyOfTheFullGridOperator) {
+  const Layout l = differential_layout(GetParam());
+  const SurfaceSolver solver(l, shallow_stack(), {.rel_tol = 1e-10});
+  const std::size_t n = l.n_contacts(), grid = l.panels_x() * l.panels_y();
+  std::vector<std::size_t> panels, owner;
+  for (std::size_t c = 0; c < n; ++c)
+    for (const std::size_t p : l.contact_panels(c)) {
+      panels.push_back(p);
+      owner.push_back(c);
+    }
+  const std::size_t np = panels.size();
+  Matrix a_cc(np, np);
+  for (std::size_t j = 0; j < np; ++j) {
+    Vector e(grid);
+    e[panels[j]] = 1.0;
+    const Vector col = solver.apply_panel_operator(e);
+    for (std::size_t i = 0; i < np; ++i) a_cc(i, j) = col[panels[i]];
+  }
+  for (std::size_t i = 0; i < np; ++i)
+    for (std::size_t j = i + 1; j < np; ++j)
+      a_cc(i, j) = a_cc(j, i) = 0.5 * (a_cc(i, j) + a_cc(j, i));
+  Matrix v(np, n);
+  for (std::size_t i = 0; i < np; ++i) v(i, owner[i]) = 1.0;
+  const Matrix q = Cholesky(a_cc).solve(v);
+  Matrix g_ref(n, n);
+  for (std::size_t i = 0; i < np; ++i)
+    for (std::size_t j = 0; j < n; ++j) g_ref(owner[i], j) += q(i, j);
+
+  const Matrix g = solver.solve_many(Matrix::identity(n));
+  for (std::size_t j = 0; j < n; ++j) {
+    const Vector ref = g_ref.col(j);
+    EXPECT_LT(norm2(g.col(j) - ref), 1e-8 * norm2(ref)) << "column " << j;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Layouts, SurfaceRestrictedOperator, ::testing::Values(0, 1, 2),
+                         [](const ::testing::TestParamInfo<int>& info) {
+                           return std::string(info.param == 0   ? "Regular"
+                                              : info.param == 1 ? "Irregular"
+                                                                : "Rectangular");
+                         });
 
 // ---------------------------------------------------------------- FD solver
 

@@ -1,6 +1,6 @@
-// Tests for the transform substrate: FFT vs naive DFT, fast DCT vs its
-// O(N^2) reference, orthogonality/roundtrip properties, 2-D separability,
-// and the fast Poisson solver against direct dense solves.
+// Tests for the transform layer: the orthonormal DCT-II matrix (the one
+// cosine transform both DCT-diagonalized solvers apply as GEMMs) and the
+// fast Poisson solver against direct dense solves.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -8,7 +8,6 @@
 #include "linalg/cholesky.hpp"
 #include "linalg/matrix.hpp"
 #include "transform/dct.hpp"
-#include "transform/fft.hpp"
 #include "transform/poisson.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
@@ -16,155 +15,83 @@
 namespace subspar {
 namespace {
 
-std::vector<double> random_signal(std::size_t n, std::uint64_t seed) {
-  Rng rng(seed);
-  std::vector<double> x(n);
-  for (auto& v : x) v = rng.normal();
-  return x;
-}
+constexpr double kPi = 3.14159265358979323846;
 
-TEST(Fft, MatchesNaiveDft) {
-  Rng rng(1);
-  std::vector<Complex> x(32);
-  for (auto& v : x) v = Complex(rng.normal(), rng.normal());
-  auto ref = dft_naive(x);
-  auto fast = x;
-  fft(fast);
-  for (std::size_t k = 0; k < x.size(); ++k) {
-    EXPECT_NEAR(fast[k].real(), ref[k].real(), 1e-10);
-    EXPECT_NEAR(fast[k].imag(), ref[k].imag(), 1e-10);
+TEST(Dct, MatrixIsOrthonormal) {
+  for (const std::size_t n : {1u, 2u, 3u, 8u, 12u, 64u, 256u}) {
+    const Matrix c = dct2_matrix(n);
+    const Matrix cct = matmul_nt(c, c);
+    const Matrix ctc = matmul_tn(c, c);
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t j = 0; j < n; ++j) {
+        const double id = i == j ? 1.0 : 0.0;
+        ASSERT_NEAR(cct(i, j), id, 1e-13) << "C C' n=" << n << " (" << i << ", " << j << ")";
+        ASSERT_NEAR(ctc(i, j), id, 1e-13) << "C' C n=" << n << " (" << i << ", " << j << ")";
+      }
   }
-}
-
-TEST(Fft, RoundTripIdentity) {
-  Rng rng(2);
-  std::vector<Complex> x(64);
-  for (auto& v : x) v = Complex(rng.normal(), rng.normal());
-  auto y = x;
-  fft(y);
-  ifft(y);
-  for (std::size_t i = 0; i < x.size(); ++i) EXPECT_NEAR(std::abs(y[i] - x[i]), 0.0, 1e-12);
-}
-
-TEST(Fft, ParsevalEnergyConservation) {
-  Rng rng(3);
-  std::vector<Complex> x(128);
-  double ex = 0.0;
-  for (auto& v : x) {
-    v = Complex(rng.normal(), 0.0);
-    ex += std::norm(v);
-  }
-  auto y = x;
-  fft(y);
-  double ey = 0.0;
-  for (const auto& v : y) ey += std::norm(v);
-  EXPECT_NEAR(ey, ex * 128.0, 1e-8 * ex * 128.0);
-}
-
-TEST(Fft, RejectsNonPowerOfTwo) {
-  std::vector<Complex> x(12);
-  EXPECT_THROW(fft(x), std::invalid_argument);
-}
-
-TEST(Fft, DeltaTransformsToConstant) {
-  std::vector<Complex> x(16, Complex(0, 0));
-  x[0] = Complex(1, 0);
-  fft(x);
-  for (const auto& v : x) {
-    EXPECT_NEAR(v.real(), 1.0, 1e-13);
-    EXPECT_NEAR(v.imag(), 0.0, 1e-13);
-  }
-}
-
-TEST(Dct, FastMatchesNaivePowerOfTwo) {
-  const auto x = random_signal(64, 4);
-  const auto fast = dct2(x);
-  const auto ref = dct2_naive(x);
-  for (std::size_t k = 0; k < x.size(); ++k) EXPECT_NEAR(fast[k], ref[k], 1e-10);
-}
-
-TEST(Dct, Dct3FastMatchesNaive) {
-  const auto y = random_signal(32, 5);
-  const auto fast = dct3(y);
-  const auto ref = dct3_naive(y);
-  for (std::size_t k = 0; k < y.size(); ++k) EXPECT_NEAR(fast[k], ref[k], 1e-10);
-}
-
-TEST(Dct, RoundTripIdentity) {
-  const auto x = random_signal(128, 6);
-  const auto y = dct3(dct2(x));
-  for (std::size_t i = 0; i < x.size(); ++i) EXPECT_NEAR(y[i], x[i], 1e-11);
 }
 
 TEST(Dct, OrthonormalParseval) {
-  const auto x = random_signal(64, 7);
-  const auto y = dct2(x);
-  double ex = 0.0, ey = 0.0;
-  for (double v : x) ex += v * v;
-  for (double v : y) ey += v * v;
-  EXPECT_NEAR(ex, ey, 1e-10 * ex);
+  Rng rng(7);
+  Vector x(64);
+  for (auto& v : x) v = rng.normal();
+  const Vector y = matvec(dct2_matrix(64), x);
+  EXPECT_NEAR(dot(x, x), dot(y, y), 1e-10 * dot(x, x));
 }
 
 TEST(Dct, ConstantMapsToDcModeOnly) {
-  std::vector<double> x(16, 3.0);
-  const auto y = dct2(x);
+  const Vector y = matvec(dct2_matrix(16), Vector(16, 3.0));
   EXPECT_NEAR(y[0], 3.0 * std::sqrt(16.0), 1e-12);
   for (std::size_t k = 1; k < y.size(); ++k) EXPECT_NEAR(y[k], 0.0, 1e-12);
 }
 
-TEST(Dct, NonPowerOfTwoFallsBackToNaive) {
-  const auto x = random_signal(12, 8);
-  const auto y = dct3(dct2(x));
-  for (std::size_t i = 0; i < x.size(); ++i) EXPECT_NEAR(y[i], x[i], 1e-11);
-}
-
-TEST(Dct, LinearityProperty) {
-  const auto x = random_signal(32, 9);
-  const auto y = random_signal(32, 10);
-  std::vector<double> z(32);
-  for (std::size_t i = 0; i < 32; ++i) z[i] = 2.0 * x[i] - 3.0 * y[i];
-  const auto tx = dct2(x), ty = dct2(y), tz = dct2(z);
-  for (std::size_t k = 0; k < 32; ++k) EXPECT_NEAR(tz[k], 2.0 * tx[k] - 3.0 * ty[k], 1e-11);
-}
-
-TEST(Dct2d, RoundTripIdentity) {
-  auto a = random_signal(16 * 8, 11);
-  const auto orig = a;
-  dct2_2d(a, 16, 8);
-  dct3_2d(a, 16, 8);
-  for (std::size_t i = 0; i < a.size(); ++i) EXPECT_NEAR(a[i], orig[i], 1e-11);
-}
-
 TEST(Dct2d, SeparableModeIsEigenvector) {
   // cos(pi*2(i+1/2)/8)*cos(pi*3(j+1/2)/8) must transform to a single
-  // coefficient at (2,3).
+  // coefficient at (2,3) under C A C'.
   const std::size_t n = 8;
-  std::vector<double> a(n * n);
-  constexpr double kPi = 3.14159265358979323846;
+  Matrix a(n, n);
   for (std::size_t i = 0; i < n; ++i)
     for (std::size_t j = 0; j < n; ++j)
-      a[i * n + j] = std::cos(kPi * 2.0 * (i + 0.5) / n) * std::cos(kPi * 3.0 * (j + 0.5) / n);
-  dct2_2d(a, n, n);
+      a(i, j) = std::cos(kPi * 2.0 * (i + 0.5) / n) * std::cos(kPi * 3.0 * (j + 0.5) / n);
+  const Matrix c = dct2_matrix(n);
+  const Matrix modes = matmul_nt(matmul(c, a), c);
   for (std::size_t i = 0; i < n; ++i)
     for (std::size_t j = 0; j < n; ++j) {
       if (i == 2 && j == 3) {
-        EXPECT_NEAR(a[i * n + j], n / 2.0, 1e-10);  // (sqrt(2/n)*n/2)^2 scaling
+        EXPECT_NEAR(modes(i, j), n / 2.0, 1e-10);  // (sqrt(2/n)*n/2)^2 scaling
       } else {
-        EXPECT_NEAR(a[i * n + j], 0.0, 1e-10);
+        EXPECT_NEAR(modes(i, j), 0.0, 1e-10);
       }
     }
 }
 
-class DctSizeSweep : public ::testing::TestWithParam<int> {};
-
-TEST_P(DctSizeSweep, RoundTripAcrossSizes) {
-  const auto n = static_cast<std::size_t>(GetParam());
-  const auto x = random_signal(n, 20 + n);
-  const auto y = dct3(dct2(x));
-  for (std::size_t i = 0; i < n; ++i) ASSERT_NEAR(y[i], x[i], 1e-10);
+TEST(Dct2d, SeparableModesDiagonalizeTheNeumannLaplacian) {
+  // Every product of a row of Cy and a row of Cx is an eigenvector of the
+  // 5-point Neumann grid Laplacian, with eigenvalue mu(kx) + mu(ky),
+  // mu(k) = 2 - 2 cos(pi k / n): what makes the DCT the fast-Poisson and
+  // surface-operator diagonalizer.
+  const std::size_t nx = 8, ny = 4;
+  const Matrix cx = dct2_matrix(nx), cy = dct2_matrix(ny);
+  const auto mu = [](std::size_t k, std::size_t n) {
+    return 2.0 - 2.0 * std::cos(kPi * static_cast<double>(k) / static_cast<double>(n));
+  };
+  for (std::size_t ky = 0; ky < ny; ++ky)
+    for (std::size_t kx = 0; kx < nx; ++kx) {
+      Matrix v(ny, nx);
+      for (std::size_t y = 0; y < ny; ++y)
+        for (std::size_t x = 0; x < nx; ++x) v(y, x) = cy(ky, y) * cx(kx, x);
+      const double lambda = mu(kx, nx) + mu(ky, ny);
+      for (std::size_t y = 0; y < ny; ++y)
+        for (std::size_t x = 0; x < nx; ++x) {
+          double lv = 0.0;
+          if (x > 0) lv += v(y, x) - v(y, x - 1);
+          if (x + 1 < nx) lv += v(y, x) - v(y, x + 1);
+          if (y > 0) lv += v(y, x) - v(y - 1, x);
+          if (y + 1 < ny) lv += v(y, x) - v(y + 1, x);
+          ASSERT_NEAR(lv, lambda * v(y, x), 1e-13) << "mode (" << kx << ", " << ky << ")";
+        }
+    }
 }
-
-INSTANTIATE_TEST_SUITE_P(Sizes, DctSizeSweep, ::testing::Values(1, 2, 3, 4, 7, 8, 16, 31, 64, 256));
 
 // ------------------------------------------------------------ fast Poisson
 
@@ -298,27 +225,6 @@ TEST_P(PoissonTopG, SolveExactAcrossTopCouplings) {
 
 INSTANTIATE_TEST_SUITE_P(TopCouplings, PoissonTopG, ::testing::Values(0.05, 0.25, 1.0, 4.0));
 
-}  // namespace
-}  // namespace subspar
-
-namespace subspar {
-namespace {
-
-TEST(Dct2d, RectangularGridRoundTrip) {
-  auto a = random_signal(32 * 8, 30);
-  const auto orig = a;
-  dct2_2d(a, 8, 32);  // wide
-  dct3_2d(a, 8, 32);
-  for (std::size_t i = 0; i < a.size(); ++i) ASSERT_NEAR(a[i], orig[i], 1e-11);
-}
-
-TEST(Dct, DeltaSpreadsToAllModes) {
-  std::vector<double> x(16, 0.0);
-  x[0] = 1.0;
-  const auto y = dct2(x);
-  for (std::size_t k = 0; k < y.size(); ++k) ASSERT_NE(y[k], 0.0);
-}
-
 TEST(FastPoisson, SingleLayerNzOne) {
   PoissonGrid g;
   g.nx = 8;
@@ -332,109 +238,6 @@ TEST(FastPoisson, SingleLayerNzOne) {
   for (auto& v : b) v = rng.normal();
   const Vector x = fp.solve(b);
   EXPECT_LT(norm2(fp.apply(x) - b), 1e-10 * norm2(b));
-}
-
-// ------------------------------------------------ plans and batched DCTs
-
-TEST(DctPlan, PlannedDct2MatchesNaive) {
-  // 1e-13-level agreement; the O(N^2) reference itself accumulates roundoff
-  // ~ sqrt(N) * eps, so the tolerance scales with sqrt(N).
-  for (const std::size_t n : {2u, 8u, 64u, 256u}) {
-    auto x = random_signal(n, 40 + n);
-    const auto ref = dct2_naive(x);
-    dct_plan(n).dct2(x.data());
-    const double tol = 2e-14 * std::sqrt(static_cast<double>(n));
-    for (std::size_t k = 0; k < n; ++k) ASSERT_NEAR(x[k], ref[k], tol) << "n=" << n;
-  }
-}
-
-TEST(DctPlan, PlannedDct3MatchesNaive) {
-  for (const std::size_t n : {2u, 8u, 64u, 256u}) {
-    auto y = random_signal(n, 50 + n);
-    const auto ref = dct3_naive(y);
-    dct_plan(n).dct3(y.data());
-    const double tol = 2e-14 * std::sqrt(static_cast<double>(n));
-    for (std::size_t k = 0; k < n; ++k) ASSERT_NEAR(y[k], ref[k], tol) << "n=" << n;
-  }
-}
-
-TEST(DctPlan, NonPowerOfTwoDenseTableMatchesNaive) {
-  for (const std::size_t n : {1u, 3u, 12u, 31u}) {
-    auto x = random_signal(n, 60 + n);
-    const auto ref = dct2_naive(x);
-    dct_plan(n).dct2(x.data());
-    for (std::size_t k = 0; k < n; ++k) ASSERT_NEAR(x[k], ref[k], 1e-13) << "n=" << n;
-  }
-}
-
-TEST(DctPlan, FreeFunctionsRouteThroughPlan) {
-  const auto x = random_signal(128, 70);
-  auto planned = x;
-  dct_plan(x.size()).dct2(planned.data());
-  const auto free_fn = dct2(x);
-  for (std::size_t k = 0; k < x.size(); ++k) ASSERT_EQ(planned[k], free_fn[k]);
-}
-
-TEST(Dct2dMany, MatchesSingleGridTransformsBitExactly) {
-  const std::size_t rows = 16, cols = 8, batch = 5;
-  auto stacked = random_signal(batch * rows * cols, 71);
-  std::vector<std::vector<double>> singles(batch);
-  for (std::size_t b = 0; b < batch; ++b)
-    singles[b].assign(stacked.begin() + static_cast<std::ptrdiff_t>(b * rows * cols),
-                      stacked.begin() + static_cast<std::ptrdiff_t>((b + 1) * rows * cols));
-  dct2_2d_many(stacked, rows, cols, batch);
-  for (std::size_t b = 0; b < batch; ++b) {
-    dct2_2d(singles[b], rows, cols);
-    for (std::size_t i = 0; i < rows * cols; ++i)
-      ASSERT_EQ(stacked[b * rows * cols + i], singles[b][i]) << "grid " << b;
-  }
-}
-
-TEST(Dct2dMany, RoundTripIdentity) {
-  const std::size_t rows = 8, cols = 32, batch = 3;
-  auto a = random_signal(batch * rows * cols, 72);
-  const auto orig = a;
-  dct2_2d_many(a, rows, cols, batch);
-  dct3_2d_many(a, rows, cols, batch);
-  for (std::size_t i = 0; i < a.size(); ++i) ASSERT_NEAR(a[i], orig[i], 1e-12);
-}
-
-TEST(Dct2dMany, BitIdenticalAcrossThreadCounts) {
-  const std::size_t rows = 32, cols = 32, batch = 8;
-  const auto orig = random_signal(batch * rows * cols, 73);
-  set_thread_count(1);
-  auto one = orig;
-  dct2_2d_many(one, rows, cols, batch);
-  set_thread_count(4);
-  auto four = orig;
-  dct2_2d_many(four, rows, cols, batch);
-  set_thread_count(1);
-  for (std::size_t i = 0; i < orig.size(); ++i) ASSERT_EQ(one[i], four[i]);
-}
-
-TEST(FftPlan, ForwardMatchesNaiveDft) {
-  Rng rng(74);
-  std::vector<Complex> x(64);
-  for (auto& v : x) v = Complex(rng.normal(), rng.normal());
-  const auto ref = dft_naive(x);
-  fft_plan(x.size()).forward(x.data());
-  for (std::size_t k = 0; k < x.size(); ++k)
-    ASSERT_LT(std::abs(x[k] - ref[k]), 1e-10);
-}
-
-TEST(Fft, LinearityProperty) {
-  Rng rng(32);
-  std::vector<Complex> x(64), y(64), z(64);
-  for (std::size_t i = 0; i < 64; ++i) {
-    x[i] = Complex(rng.normal(), rng.normal());
-    y[i] = Complex(rng.normal(), rng.normal());
-    z[i] = 2.0 * x[i] - 0.5 * y[i];
-  }
-  fft(x);
-  fft(y);
-  fft(z);
-  for (std::size_t k = 0; k < 64; ++k)
-    ASSERT_LT(std::abs(z[k] - (2.0 * x[k] - 0.5 * y[k])), 1e-10);
 }
 
 }  // namespace

@@ -29,10 +29,10 @@ Rules (scope: src/** and include/** unless noted):
                    this once — see linalg/sparse.cpp history).
   raw-simd         SIMD intrinsics headers, GCC vector extensions
                    (vector_size), and vector builtins may appear only in the
-                   kernel-backend family (src/linalg/backend*) and transform
-                   backend TUs. Everything else reaches vectorized code
-                   through linalg/backend.hpp's KernelOps dispatch, so one
-                   CPUID gate governs every ISA-specific instruction.
+                   kernel-backend family (src/linalg/backend*). Everything
+                   else reaches vectorized code through linalg/backend.hpp's
+                   KernelOps dispatch, so one CPUID gate governs every
+                   ISA-specific instruction.
   layering         Lower-layer modules (util, linalg, transform, geometry,
                    substrate, wavelet, lowrank, circuit) must not include
                    api/ internals or the api-layer public headers
@@ -198,8 +198,7 @@ def scan_file(root: Path, path: Path) -> list[Violation]:
     # --- raw-simd ---------------------------------------------------------
     parts = rel.parts
     backend_tu = (len(parts) >= 3 and parts[0] == "src" and
-                  ((parts[1] == "linalg" and parts[2].startswith("backend")) or
-                   (parts[1] == "transform" and "backend" in parts[2])))
+                  parts[1] == "linalg" and parts[2].startswith("backend"))
     if not backend_tu:
         for pattern, what in RAW_SIMD:
             for m in pattern.finditer(code):
