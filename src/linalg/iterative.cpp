@@ -119,7 +119,12 @@ Matrix pcg_block(const LinearOpMany& a, const Matrix& b, const IterOptions& opt,
                  BlockIterStats* stats, const Preconditioner* precond) {
   const std::size_t n = b.rows();
   const std::size_t k = b.cols();
-  Matrix x(n, k);
+  // Allocated only when some column leaves the block early (a zero column
+  // or a deflated one); otherwise the live block xa is the answer.
+  Matrix x;
+  const auto ensure_x = [&] {
+    if (x.rows() == 0) x = Matrix(n, k);
+  };
   BlockIterStats local;
 
   // Zero columns solve to zero; drop them so the Gram systems stay SPD.
@@ -133,7 +138,7 @@ Matrix pcg_block(const LinearOpMany& a, const Matrix& b, const IterOptions& opt,
   if (active.empty()) {
     local.converged = true;
     if (stats) *stats = local;
-    return x;
+    return Matrix(n, k);
   }
   std::vector<double> bnorm(active.size());
   Matrix r(n, active.size());
@@ -143,9 +148,10 @@ Matrix pcg_block(const LinearOpMany& a, const Matrix& b, const IterOptions& opt,
   }
 
   Matrix xa(n, active.size());
-  Matrix z = precond ? precond->apply_many(r) : r;
-  Matrix p = z;
-  Matrix s = matmul_tn(z, r);  // live x live Gram of the recurrence
+  // p starts as the preconditioned residual z, and s = z' r is the live x
+  // live Gram of the recurrence.
+  Matrix p = precond ? precond->apply_many(r) : r;
+  Matrix s = matmul_tn(p, r);
   // Stagnation watchdog: if the worst residual has not halved within a
   // window, the search directions have degenerated — recompute the true
   // residual and restart the recurrence from the current iterate.
@@ -158,23 +164,28 @@ Matrix pcg_block(const LinearOpMany& a, const Matrix& b, const IterOptions& opt,
     // grid spends essentially all its time in this loop, so per-iteration
     // granularity is what bounds a cancelled job's latency.
     cancellation_point("pcg_block");
-    const Matrix q = a(p);
-    const Matrix t = matmul_tn(p, q);
-    const Matrix alpha = solve_block_gram(t, s);
-    matmul_add(xa, p, alpha, 1.0);
-    matmul_add(r, q, alpha, -1.0);
+    {
+      // q = A p is dead once r is updated: free it before the
+      // preconditioner apply below allocates z.
+      const Matrix q = a(p);
+      const Matrix alpha = solve_block_gram(matmul_tn(p, q), s);
+      matmul_add(xa, p, alpha, 1.0);
+      matmul_add(r, q, alpha, -1.0);
+    }
     local.iterations = it + 1;
 
     // Per-column residuals; deflate converged columns out of the block so
     // the Gram systems stay well-conditioned for the stragglers.
     const std::size_t ka = active.size();
-    std::vector<std::size_t> keep;
+    std::vector<std::size_t> keep, done;
     double worst = 0.0;
+    bool finite = true;
     col_sq_norms(r, rs);
     for (std::size_t j = 0; j < ka; ++j) {
       const double rel = std::sqrt(rs[j]) / bnorm[j];
+      finite = finite && std::isfinite(rel);
       if (rel <= opt.rel_tol) {
-        for (std::size_t i = 0; i < n; ++i) x(i, active[j]) = xa(i, j);
+        done.push_back(j);
       } else {
         keep.push_back(j);
         worst = std::max(worst, rel);
@@ -185,8 +196,16 @@ Matrix pcg_block(const LinearOpMany& a, const Matrix& b, const IterOptions& opt,
       local.converged = true;
       break;
     }
+    // A non-finite residual (a corrupted operator apply) spreads through the
+    // block Gram solves to every column and no later iteration removes it:
+    // return the block unconverged instead of iterating to the limit.
+    if (!finite) break;
     const bool deflated = keep.size() < ka;
     if (deflated) {
+      // Converged columns leave the block: their iterates are final.
+      ensure_x();
+      for (const std::size_t j : done)
+        for (std::size_t i = 0; i < n; ++i) x(i, active[j]) = xa(i, j);
       std::vector<std::size_t> next_active(keep.size());
       std::vector<double> next_bnorm(keep.size());
       for (std::size_t j = 0; j < keep.size(); ++j) {
@@ -211,33 +230,31 @@ Matrix pcg_block(const LinearOpMany& a, const Matrix& b, const IterOptions& opt,
       r *= -1.0;
       for (std::size_t j = 0; j < active.size(); ++j)
         for (std::size_t i = 0; i < n; ++i) r(i, j) += b(i, active[j]);
-      z = precond ? precond->apply_many(r) : r;
-      p = z;
-      s = matmul_tn(z, r);
+      p = precond ? precond->apply_many(r) : r;
+      s = matmul_tn(p, r);
       stall_ref = worst;
       stall_it = it;
       continue;
     }
 
-    z = precond ? precond->apply_many(r) : r;
-    const Matrix s_next = matmul_tn(z, r);
-    if (deflated) {
-      // Fresh directions for the surviving columns (their cross terms with
-      // the deflated ones are gone); CG re-accelerates from here.
-      p = z;
-      s = s_next;
-      continue;
+    Matrix z = precond ? precond->apply_many(r) : r;
+    Matrix s_next = matmul_tn(z, r);
+    if (!deflated) {
+      // p = z + p beta, accumulated into z so no third block is allocated.
+      // Deflation instead leaves p = z: fresh directions for the surviving
+      // columns (their cross terms with the deflated ones are gone); CG
+      // re-accelerates from there.
+      matmul_add(z, p, solve_block_gram(s, s_next), 1.0);
     }
-    const Matrix beta = solve_block_gram(s, s_next);
-    Matrix p_next = z;
-    matmul_add(p_next, p, beta, 1.0);
-    p = std::move(p_next);
-    s = s_next;
+    p = std::move(z);
+    s = std::move(s_next);
   }
 
+  if (stats) *stats = local;
+  if (x.rows() == 0 && active.size() == k) return xa;  // no column left early
+  ensure_x();
   for (std::size_t j = 0; j < active.size(); ++j)
     for (std::size_t i = 0; i < n; ++i) x(i, active[j]) = xa(i, j);
-  if (stats) *stats = local;
   return x;
 }
 

@@ -27,21 +27,22 @@ bool all_finite(const Matrix& m) {
 
 bool fault_corrupt(FaultSite site, Matrix& y) {
   if (y.rows() == 0 || y.cols() == 0) return false;
-  if (!fault_fire(site)) return false;
-  const std::uint64_t k = fault_fired(site);
+  std::uint64_t shot = 0;
+  if (!fault_fire(site, &shot)) return false;
   const std::uint64_t idx =
-      fault_corrupt_index(site, k, static_cast<std::uint64_t>(y.rows() * y.cols()));
+      fault_corrupt_index(site, shot, static_cast<std::uint64_t>(y.rows() * y.cols()));
   y(static_cast<std::size_t>(idx) / y.cols(), static_cast<std::size_t>(idx) % y.cols()) =
-      fault_corrupt_value(k);
+      fault_corrupt_value(shot);
   return true;
 }
 
 bool fault_corrupt(FaultSite site, Vector& y) {
   if (y.size() == 0) return false;
-  if (!fault_fire(site)) return false;
-  const std::uint64_t k = fault_fired(site);
-  const std::uint64_t idx = fault_corrupt_index(site, k, static_cast<std::uint64_t>(y.size()));
-  y[static_cast<std::size_t>(idx)] = fault_corrupt_value(k);
+  std::uint64_t shot = 0;
+  if (!fault_fire(site, &shot)) return false;
+  const std::uint64_t idx =
+      fault_corrupt_index(site, shot, static_cast<std::uint64_t>(y.size()));
+  y[static_cast<std::size_t>(idx)] = fault_corrupt_value(shot);
   return true;
 }
 
@@ -62,7 +63,11 @@ Matrix robust_pcg_block(const LinearOpMany& a, const Matrix& b, const RobustSolv
   // Fallback chain. From here every candidate block is verified against the
   // TRUE residual (one extra batched apply per attempt) before acceptance.
   rep.clean = false;
-  if (!stats.converged) ++rep.max_iteration_hits;
+  // pcg_block also stops early, unconverged, on a non-finite residual.
+  const auto hit_limit = [&](const BlockIterStats& st) {
+    return !st.converged && st.iterations >= opt.iter.max_iterations;
+  };
+  if (hit_limit(stats)) ++rep.max_iteration_hits;
   const std::size_t n = b.rows(), k = b.cols();
   const double accept_tol = opt.iter.rel_tol * opt.accept_factor;
   Matrix out(n, k);
@@ -114,7 +119,7 @@ Matrix robust_pcg_block(const LinearOpMany& a, const Matrix& b, const RobustSolv
     rep.iterations += rstats.iterations;
     ++rep.restarts;
     if (use_tighter) ++rep.tighter_restarts;
-    if (!rstats.converged) ++rep.max_iteration_hits;
+    if (hit_limit(rstats)) ++rep.max_iteration_hits;
     (void)fault_corrupt(FaultSite::kSolverSolve, xs);
     bad = verify_and_keep(xs, bad);
   }

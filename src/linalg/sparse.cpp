@@ -60,6 +60,25 @@ SparseMatrix SparseMatrix::from_dense(const Matrix& a, double drop_tol) {
   return SparseMatrix(b);
 }
 
+SparseMatrix SparseMatrix::from_csr(std::size_t rows, std::size_t cols,
+                                   std::vector<std::size_t> rowptr,
+                                   std::vector<std::size_t> colidx, std::vector<double> val) {
+  SUBSPAR_REQUIRE(rowptr.size() == rows + 1 && rowptr.front() == 0);
+  SUBSPAR_REQUIRE(rowptr.back() == colidx.size() && colidx.size() == val.size());
+  for (std::size_t i = 0; i < rows; ++i) {
+    SUBSPAR_REQUIRE(rowptr[i] <= rowptr[i + 1]);
+    for (std::size_t t = rowptr[i]; t < rowptr[i + 1]; ++t)
+      SUBSPAR_REQUIRE(colidx[t] < cols && (t == rowptr[i] || colidx[t - 1] < colidx[t]));
+  }
+  SparseMatrix m;
+  m.rows_ = rows;
+  m.cols_ = cols;
+  m.rowptr_ = std::move(rowptr);
+  m.colidx_ = std::move(colidx);
+  m.val_ = std::move(val);
+  return m;
+}
+
 double SparseMatrix::sparsity_factor() const {
   // Zero-nnz (including 0 x n / n x 0) matrices have no meaningful sparsity
   // factor; return 0 rather than dividing by zero.

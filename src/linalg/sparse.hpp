@@ -46,6 +46,12 @@ class SparseMatrix {
   /// valid and produce a zero-nnz matrix.
   static SparseMatrix from_dense(const Matrix& a, double drop_tol = 0.0);
 
+  /// Adopts ready CSR arrays: `rowptr` holds rows + 1 offsets from 0 to
+  /// nnz, and each row's column indices ascend (checked).
+  static SparseMatrix from_csr(std::size_t rows, std::size_t cols,
+                               std::vector<std::size_t> rowptr,
+                               std::vector<std::size_t> colidx, std::vector<double> val);
+
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
   std::size_t nnz() const { return val_.size(); }

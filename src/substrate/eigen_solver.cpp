@@ -8,6 +8,7 @@
 
 #include "linalg/cholesky.hpp"
 #include "linalg/robust.hpp"
+#include "substrate/solve_chunks.hpp"
 #include "transform/dct.hpp"
 #include "util/check.hpp"
 #include "util/parallel.hpp"
@@ -16,24 +17,9 @@ namespace subspar {
 namespace {
 constexpr double kPi = 3.14159265358979323846;
 
-/// Widest column block fed to one pcg_block call: bounds the O(k^2 n) Gram
-/// work and the O(k^3) small solves while keeping the spectrum deflation
-/// that makes the blocked iteration converge in far fewer iterations.
-constexpr std::size_t kMaxSolveBlock = 16;
-
 /// Size gate for the dense direct-solve fallback: materializing and
 /// factoring the restricted panel operator is O(p^2) memory / O(p^3) work.
 constexpr std::size_t kMaxDirectDim = 4096;
-
-void accumulate_diag(SolverDiagnostics& d, const RobustSolveReport& r) {
-  d.iterations += static_cast<long>(r.iterations);
-  d.max_iteration_hits += static_cast<long>(r.max_iteration_hits);
-  d.restarts += static_cast<long>(r.restarts);
-  d.tighter_restarts += static_cast<long>(r.tighter_restarts);
-  d.direct_columns += static_cast<long>(r.direct_columns);
-  d.nonfinite_recoveries += static_cast<long>(r.nonfinite_events);
-  if (!r.clean) d.worst_residual = std::max(d.worst_residual, r.worst_residual);
-}
 
 // Panel-averaging factor for mode m over M panels:
 // mean over a panel of cos(m pi x / a) relative to its center value.
@@ -87,9 +73,8 @@ struct SurfaceSolver::Impl {
   std::vector<std::size_t> slot;          // each contact panel's index in the |Ry| x |Rx| sub-grid
   std::vector<std::size_t> contact_begin; // offsets into `slot`, size n+1
   std::vector<Cholesky> block_factors;    // per-contact preconditioner blocks
-  mutable std::unique_ptr<Cholesky> direct_factor;  // lazy dense fallback factor
-  mutable long total_iterations = 0;
-  mutable long stat_solves = 0;
+  mutable LazyFactor<Cholesky> direct_factor;  // dense fallback factor
+  mutable IterationTally tally;
 
   Impl(const Layout& l, const SubstrateStack& s, SurfaceSolverOptions o)
       : layout(l), stack(s), options(o) {}
@@ -170,20 +155,21 @@ struct SurfaceSolver::Impl {
   // fault instrumentation) and Cholesky-factors it; the factor is reused by
   // every later fallback.
   Matrix direct_solve(const Matrix& b) const {
-    if (!direct_factor) {
-      const std::size_t p = slot.size();
-      Matrix a_cc = apply_restricted_many(Matrix::identity(p));
-      // The transform round trip is symmetric only to rounding; Cholesky
-      // needs it exact.
-      for (std::size_t i = 0; i < p; ++i)
-        for (std::size_t j = i + 1; j < p; ++j) {
-          const double v = 0.5 * (a_cc(i, j) + a_cc(j, i));
-          a_cc(i, j) = v;
-          a_cc(j, i) = v;
-        }
-      direct_factor = std::make_unique<Cholesky>(a_cc);
-    }
-    return direct_factor->solve(b);
+    return direct_factor
+        .get([&] {
+          const std::size_t p = slot.size();
+          Matrix a_cc = apply_restricted_many(Matrix::identity(p));
+          // The transform round trip is symmetric only to rounding;
+          // Cholesky needs it exact.
+          for (std::size_t i = 0; i < p; ++i)
+            for (std::size_t j = i + 1; j < p; ++j) {
+              const double v = 0.5 * (a_cc(i, j) + a_cc(j, i));
+              a_cc(i, j) = v;
+              a_cc(j, i) = v;
+            }
+          return std::make_unique<Cholesky>(a_cc);
+        })
+        .solve(b);
   }
 
   // Shared solve core: contact-voltage columns -> contact-current columns,
@@ -193,35 +179,27 @@ struct SurfaceSolver::Impl {
     const std::size_t n = layout.n_contacts();
     const std::size_t k = contact_voltages.cols();
     Matrix currents(n, k);
-    for (std::size_t j0 = 0; j0 < k; j0 += kMaxSolveBlock) {
-      const std::size_t kc = std::min(kMaxSolveBlock, k - j0);
+    const LinearOpMany op = [&](const Matrix& x) {
+      Matrix y = apply_restricted_many(x);
+      fault_corrupt(FaultSite::kSolverApply, y);
+      return y;
+    };
+    const FunctionPreconditioner pre([&](const Matrix& r) { return precondition_many(r); });
+    const DirectSolveFn direct =
+        slot.size() <= kMaxDirectDim
+            ? DirectSolveFn([&](const Matrix& bb) { return direct_solve(bb); })
+            : DirectSolveFn();
+    const auto chunk = [&](std::size_t j0, std::size_t kc, RobustSolveReport& report) {
       // Right-hand sides: each contact's panels sit at the contact voltage.
       Matrix v(slot.size(), kc);
       for (std::size_t j = 0; j < kc; ++j)
         for (std::size_t c = 0; c < n; ++c)
           for (std::size_t idx = contact_begin[c]; idx < contact_begin[c + 1]; ++idx)
             v(idx, j) = contact_voltages(c, j0 + j);
-
-      RobustSolveReport rrep;
-      const LinearOpMany op = [&](const Matrix& x) {
-        Matrix y = apply_restricted_many(x);
-        fault_corrupt(FaultSite::kSolverApply, y);
-        return y;
-      };
-      const FunctionPreconditioner pre(
-          [&](const Matrix& r) { return precondition_many(r); });
-      const DirectSolveFn direct =
-          slot.size() <= kMaxDirectDim
-              ? DirectSolveFn([&](const Matrix& bb) { return direct_solve(bb); })
-              : DirectSolveFn();
       const Matrix q = robust_pcg_block(
           op, v,
           {.iter = {.rel_tol = options.rel_tol, .max_iterations = options.max_iterations}},
-          &rrep, options.contact_block_precond ? &pre : nullptr, /*tighter=*/nullptr, direct);
-      accumulate_diag(diag, rrep);
-      total_iterations += static_cast<long>(rrep.iterations) * static_cast<long>(kc);
-      stat_solves += static_cast<long>(kc);
-
+          &report, options.contact_block_precond ? &pre : nullptr, /*tighter=*/nullptr, direct);
       for (std::size_t j = 0; j < kc; ++j) {
         for (std::size_t c = 0; c < n; ++c) {
           double s = 0.0;
@@ -230,7 +208,8 @@ struct SurfaceSolver::Impl {
           currents(c, j0 + j) = s;
         }
       }
-    }
+    };
+    run_solve_chunks(k, chunk, diag, tally);
     return currents;
   }
 };
@@ -362,17 +341,9 @@ Vector SurfaceSolver::apply_panel_operator(const Vector& panel_currents) const {
   return impl_->apply_grid(panel_currents);
 }
 
-double SurfaceSolver::avg_iterations() const {
-  return impl_->stat_solves == 0
-             ? 0.0
-             : static_cast<double>(impl_->total_iterations) /
-                   static_cast<double>(impl_->stat_solves);
-}
+double SurfaceSolver::avg_iterations() const { return impl_->tally.average(); }
 
-void SurfaceSolver::reset_iteration_stats() const {
-  impl_->total_iterations = 0;
-  impl_->stat_solves = 0;
-}
+void SurfaceSolver::reset_iteration_stats() const { impl_->tally = IterationTally{}; }
 
 Vector SurfaceSolver::do_solve(const Vector& contact_voltages) const {
   Matrix v(contact_voltages.size(), 1);

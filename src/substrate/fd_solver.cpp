@@ -1,6 +1,5 @@
 #include "substrate/fd_solver.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <memory>
@@ -14,13 +13,12 @@
 #include "linalg/robust.hpp"
 #include "linalg/sparse.hpp"
 #include "substrate/multigrid.hpp"
+#include "substrate/solve_chunks.hpp"
 #include "transform/poisson.hpp"
 #include "util/check.hpp"
 
 namespace subspar {
 namespace {
-/// Column-chunk width per pcg_block call (see eigen_solver.cpp).
-constexpr std::size_t kMaxSolveBlock = 16;
 
 /// The Table 2.1 fast-Poisson preconditioner behind the blockwise
 /// Preconditioner interface: column fan-out over the pool, per-column
@@ -45,24 +43,15 @@ class LazyIc0Preconditioner final : public Preconditioner {
  public:
   explicit LazyIc0Preconditioner(const SparseMatrix& a) : a_(&a) {}
   Matrix apply_many(const Matrix& r) const override {
-    if (!inner_) inner_ = std::make_unique<Ic0Preconditioner>(*a_, rcm_ordering(*a_));
-    return inner_->apply_many(r);
+    return inner_
+        .get([&] { return std::make_unique<Ic0Preconditioner>(*a_, rcm_ordering(*a_)); })
+        .apply_many(r);
   }
 
  private:
   const SparseMatrix* a_;
-  mutable std::unique_ptr<Ic0Preconditioner> inner_;
+  mutable LazyFactor<Ic0Preconditioner> inner_;
 };
-
-void accumulate_diag(SolverDiagnostics& d, const RobustSolveReport& r) {
-  d.iterations += static_cast<long>(r.iterations);
-  d.max_iteration_hits += static_cast<long>(r.max_iteration_hits);
-  d.restarts += static_cast<long>(r.restarts);
-  d.tighter_restarts += static_cast<long>(r.tighter_restarts);
-  d.direct_columns += static_cast<long>(r.direct_columns);
-  d.nonfinite_recoveries += static_cast<long>(r.nonfinite_events);
-  if (!r.clean) d.worst_residual = std::max(d.worst_residual, r.worst_residual);
-}
 
 }  // namespace
 
@@ -84,13 +73,12 @@ struct FdSolver::Impl {
   // Fallback-chain stages: the tighter preconditioner (lazy IC(0); null when
   // IC(0) already is the primary) and the size-gated dense direct factor.
   std::unique_ptr<Preconditioner> tighter;
-  mutable std::unique_ptr<Cholesky> direct_factor;
+  mutable LazyFactor<Cholesky> direct_factor;
 
   // Top-plane node indices per contact (into the full grid vector).
   std::vector<std::vector<std::size_t>> contact_nodes;
 
-  mutable long total_iterations = 0;
-  mutable long stat_solves = 0;
+  mutable IterationTally tally;
 
   Impl(const Layout& l, const SubstrateStack& s, FdSolverOptions o)
       : layout(l), stack(s), options(o) {}
@@ -102,22 +90,22 @@ struct FdSolver::Impl {
   // Dense direct fallback: the sparse Laplacian densified and
   // Cholesky-factored once, reused by every later fallback.
   Matrix direct_solve(const Matrix& b) const {
-    if (!direct_factor) {
-      const std::size_t n = a.rows();
-      Matrix dense(n, n);
-      for (std::size_t i = 0; i < n; ++i)
-        for (std::size_t t = a.row_begin(i); t < a.row_end(i); ++t)
-          dense(i, a.col_index(t)) = a.value(t);
-      direct_factor = std::make_unique<Cholesky>(dense);
-    }
-    return direct_factor->solve(b);
+    return direct_factor
+        .get([&] {
+          const std::size_t n = a.rows();
+          Matrix dense(n, n);
+          for (std::size_t i = 0; i < n; ++i)
+            for (std::size_t t = a.row_begin(i); t < a.row_end(i); ++t)
+              dense(i, a.col_index(t)) = a.value(t);
+          return std::make_unique<Cholesky>(dense);
+        })
+        .solve(b);
   }
 
   // One right-hand-side chunk through the robust fallback chain: pcg_block,
   // then restarts (the last with the lazy IC(0)), then the size-gated dense
   // direct solve. Throws SolverConvergenceError when all of it fails.
-  Matrix robust_chunk(const Matrix& b, SolverDiagnostics& d, std::size_t* iterations) const {
-    RobustSolveReport rrep;
+  Matrix robust_chunk(const Matrix& b, RobustSolveReport& report) const {
     const LinearOpMany op = [&](const Matrix& p) {
       Matrix y = a.apply_many(p);
       fault_corrupt(FaultSite::kSolverApply, y);
@@ -127,13 +115,44 @@ struct FdSolver::Impl {
         b.rows() <= kMaxDirectDim
             ? DirectSolveFn([this](const Matrix& bb) { return direct_solve(bb); })
             : DirectSolveFn();
-    const Matrix xc = robust_pcg_block(
+    return robust_pcg_block(
         op, b,
         {.iter = {.rel_tol = options.rel_tol, .max_iterations = options.max_iterations}},
-        &rrep, precond.get(), tighter.get(), direct);
-    accumulate_diag(d, rrep);
-    if (iterations) *iterations = rrep.iterations;
-    return xc;
+        &report, precond.get(), tighter.get(), direct);
+  }
+
+  // A single column skips the block machinery (k x k Gram solves, deflation
+  // bookkeeping, Matrix temporaries) and runs the scalar-recurrence pcg() —
+  // substantially cheaper per iteration at equal arithmetic per operator
+  // apply. A failed column escalates into the robust chain; `report` sums
+  // both attempts.
+  Matrix solve_column(const Matrix& b, RobustSolveReport& report) const {
+    IterStats stats;
+    const LinearOp op = [&](const Vector& p) {
+      Vector y = a.apply(p);
+      fault_corrupt(FaultSite::kSolverApply, y);
+      return y;
+    };
+    const LinearOp pre = precond
+        ? LinearOp([&](const Vector& r) { return precond->apply(r); })
+        : LinearOp();
+    Vector xv = pcg(
+        op, b.col(0), {.rel_tol = options.rel_tol, .max_iterations = options.max_iterations},
+        &stats, pre);
+    const bool corrupted = fault_corrupt(FaultSite::kSolverSolve, xv);
+    bool finite = true;
+    for (std::size_t i = 0; i < xv.size() && finite; ++i) finite = std::isfinite(xv[i]);
+    if (stats.converged && !corrupted && finite) {
+      report.iterations = stats.iterations;
+      Matrix x(xv.size(), 1);
+      x.set_col(0, xv);
+      return x;
+    }
+    Matrix x = robust_chunk(b, report);
+    report.iterations += stats.iterations;
+    if (!stats.converged) ++report.max_iteration_hits;
+    if (!finite) ++report.nonfinite_events;
+    return x;
   }
 
   // Right-hand-side columns [j0, j0 + kc) of the volume system: each
@@ -148,73 +167,38 @@ struct FdSolver::Impl {
     return b;
   }
 
-  // Shared volume-solve core: contact-voltage columns -> interior voltage
-  // columns, one blocked PCG per chunk of <= kMaxSolveBlock columns. The
-  // operator is one row-partitioned SpMM per iteration; the preconditioner
-  // one blockwise apply_many. A single column skips the block machinery
-  // (k x k Gram solves, deflation bookkeeping, Matrix temporaries) and
-  // runs the scalar-recurrence pcg() — substantially cheaper per iteration
-  // at equal arithmetic per operator apply.
-  Matrix solve_volume_block(const Matrix& contact_voltages, SolverDiagnostics& d) const {
-    const std::size_t nodes = nx * ny * nz;
-    const std::size_t k = contact_voltages.cols();
-    Matrix x(nodes, k);
-    if (k == 1) {
-      const Matrix bm = assemble_rhs(contact_voltages, 0, 1);
-      const Vector b = bm.col(0);
-      IterStats stats;
-      const LinearOp op = [&](const Vector& p) {
-        Vector y = a.apply(p);
-        fault_corrupt(FaultSite::kSolverApply, y);
-        return y;
-      };
-      const LinearOp pre = precond
-          ? LinearOp([&](const Vector& r) { return precond->apply(r); })
-          : LinearOp();
-      Vector xv = pcg(
-          op, b, {.rel_tol = options.rel_tol, .max_iterations = options.max_iterations},
-          &stats, pre);
-      const bool corrupted = fault_corrupt(FaultSite::kSolverSolve, xv);
-      bool finite = true;
-      for (std::size_t i = 0; i < xv.size() && finite; ++i) finite = std::isfinite(xv[i]);
-      total_iterations += static_cast<long>(stats.iterations);
-      stat_solves += 1;
-      d.iterations += static_cast<long>(stats.iterations);
-      if (stats.converged && !corrupted && finite) {
-        x.set_col(0, xv);
-        return x;
-      }
-      // Scalar fast path failed: escalate the single column into the same
-      // robust chain the blocked path uses.
-      if (!stats.converged) ++d.max_iteration_hits;
-      if (!finite) ++d.nonfinite_recoveries;
-      std::size_t it = 0;
-      const Matrix xc = robust_chunk(bm, d, &it);
-      total_iterations += static_cast<long>(it);
-      x.set_col(0, xc.col(0));
-      return x;
-    }
-    for (std::size_t j0 = 0; j0 < k; j0 += kMaxSolveBlock) {
-      const std::size_t kc = std::min(kMaxSolveBlock, k - j0);
-      const Matrix b = assemble_rhs(contact_voltages, j0, kc);
-      std::size_t it = 0;
-      const Matrix xc = robust_chunk(b, d, &it);
-      total_iterations += static_cast<long>(it) * static_cast<long>(kc);
-      stat_solves += static_cast<long>(kc);
-      for (std::size_t i = 0; i < nodes; ++i) std::copy_n(xc.row_ptr(i), kc, x.row_ptr(i) + j0);
-    }
-    return x;
+  // The volume solution of one contact-voltage column.
+  Vector solve_volume(const Matrix& contact_voltages, SolverDiagnostics& d) const {
+    Matrix x;
+    run_solve_chunks(
+        1,
+        [&](std::size_t, std::size_t, RobustSolveReport& report) {
+          x = solve_column(assemble_rhs(contact_voltages, 0, 1), report);
+        },
+        d, tally);
+    return x.col(0);
   }
 
-  // Contact currents read off a volume solution column.
-  Vector currents_from(const Matrix& contact_voltages, const Matrix& x, std::size_t j) const {
-    Vector currents(contact_nodes.size());
-    for (std::size_t c = 0; c < contact_nodes.size(); ++c) {
-      double s = 0.0;
-      for (const std::size_t node : contact_nodes[c])
-        s += g_contact * (contact_voltages(c, j) - x(node, j));
-      currents[c] = s;
-    }
+  // Shared solve core: contact-voltage columns -> contact-current columns,
+  // one blocked PCG per chunk of <= kMaxSolveBlock columns (one scalar PCG
+  // for a one-column batch). The operator is one row-partitioned SpMM per
+  // iteration; the preconditioner one blockwise apply_many. Each chunk reads
+  // its currents off its own volume solution and drops it.
+  Matrix solve_currents(const Matrix& contact_voltages, SolverDiagnostics& d) const {
+    const std::size_t k = contact_voltages.cols();
+    Matrix currents(contact_nodes.size(), k);
+    const auto chunk = [&](std::size_t j0, std::size_t kc, RobustSolveReport& report) {
+      const Matrix b = assemble_rhs(contact_voltages, j0, kc);
+      const Matrix x = k == 1 ? solve_column(b, report) : robust_chunk(b, report);
+      for (std::size_t j = 0; j < kc; ++j)
+        for (std::size_t c = 0; c < contact_nodes.size(); ++c) {
+          double s = 0.0;
+          for (const std::size_t node : contact_nodes[c])
+            s += g_contact * (contact_voltages(c, j0 + j) - x(node, j));
+          currents(c, j0 + j) = s;
+        }
+    };
+    run_solve_chunks(k, chunk, d, tally);
     return currents;
   }
 };
@@ -416,37 +400,25 @@ std::string FdSolver::cache_tag() const {
 
 std::size_t FdSolver::grid_nodes() const { return impl_->nx * impl_->ny * impl_->nz; }
 
-double FdSolver::avg_iterations() const {
-  return impl_->stat_solves == 0 ? 0.0
-                                 : static_cast<double>(impl_->total_iterations) /
-                                       static_cast<double>(impl_->stat_solves);
-}
+double FdSolver::avg_iterations() const { return impl_->tally.average(); }
 
-void FdSolver::reset_iteration_stats() const {
-  impl_->total_iterations = 0;
-  impl_->stat_solves = 0;
-}
+void FdSolver::reset_iteration_stats() const { impl_->tally = IterationTally{}; }
 
 Vector FdSolver::solve_volume(const Vector& contact_voltages) const {
   SUBSPAR_REQUIRE(contact_voltages.size() == n_contacts());
   Matrix v(contact_voltages.size(), 1);
   v.set_col(0, contact_voltages);
-  return impl_->solve_volume_block(v, diag()).col(0);
+  return impl_->solve_volume(v, diag());
 }
 
 Vector FdSolver::do_solve(const Vector& contact_voltages) const {
   Matrix v(contact_voltages.size(), 1);
   v.set_col(0, contact_voltages);
-  const Matrix x = impl_->solve_volume_block(v, diag());
-  return impl_->currents_from(v, x, 0);
+  return impl_->solve_currents(v, diag()).col(0);
 }
 
 Matrix FdSolver::do_solve_many(const Matrix& contact_voltages) const {
-  const Matrix x = impl_->solve_volume_block(contact_voltages, diag());
-  Matrix currents(n_contacts(), contact_voltages.cols());
-  for (std::size_t j = 0; j < contact_voltages.cols(); ++j)
-    currents.set_col(j, impl_->currents_from(contact_voltages, x, j));
-  return currents;
+  return impl_->solve_currents(contact_voltages, diag());
 }
 
 }  // namespace subspar

@@ -1,6 +1,7 @@
 #include "util/fault.hpp"
 
 #include <cmath>
+#include <cstddef>
 #include <cstdlib>
 
 #include "util/sync.hpp"
@@ -9,8 +10,9 @@ namespace subspar {
 namespace {
 
 // SplitMix64 finalizer: the schedule is a pure hash of (seed, site,
-// invocation), so it replays bit-identically and is independent of call
-// interleaving across sites.
+// invocation), where inside a FaultStreamScope the invocation is identified
+// by (batch, chunk, number within the stream), so it replays bit-identically
+// and is independent of call interleaving across sites and streams.
 std::uint64_t mix(std::uint64_t z) {
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
@@ -77,6 +79,7 @@ struct State {
   FaultCounts counts SUBSPAR_GUARDED_BY(mutex);
   // Cooldown horizon per site.
   std::uint64_t quiet_until[kFaultSiteCount] SUBSPAR_GUARDED_BY(mutex) = {};
+  std::uint64_t batches SUBSPAR_GUARDED_BY(mutex) = 0;
 
   void ensure_loaded() SUBSPAR_REQUIRES(mutex) {
     if (!loaded) {
@@ -90,6 +93,8 @@ State& state() {
   static State st;
   return st;
 }
+
+thread_local FaultStreamScope* g_stream = nullptr;
 
 }  // namespace
 
@@ -112,31 +117,50 @@ bool fault_injection_enabled() {
   return st.config.enabled;
 }
 
-bool fault_fire(FaultSite site) {
+bool fault_fire(FaultSite site, std::uint64_t* shot) {
   State& st = state();
   const MutexLock lock(st.mutex);
   st.ensure_loaded();
-  const int i = static_cast<int>(site);
-  const std::uint64_t n = ++st.counts.invocations[i];
+  const auto i = static_cast<std::size_t>(site);
+  const std::uint64_t global_n = ++st.counts.invocations[i];
+  // Inside a stream the invocation is numbered, and cooled down, by the
+  // stream's own counters, and identified by (batch, chunk, number).
+  FaultStreamScope* const stream = g_stream;
+  const std::uint64_t n = stream != nullptr ? ++stream->invocations_[i] : global_n;
+  std::uint64_t& quiet_until = stream != nullptr ? stream->quiet_until_[i] : st.quiet_until[i];
   if (!st.config.enabled || !st.config.site_on[i]) return false;
-  if (n <= st.quiet_until[i]) return false;
-  const std::uint64_t z = hash3(st.config.seed, static_cast<std::uint64_t>(i), n);
+  if (n <= quiet_until) return false;
+  const std::uint64_t id = stream != nullptr ? hash3(stream->batch_, stream->chunk_, n) : n;
+  const std::uint64_t z = hash3(st.config.seed, i, id);
   const double u = static_cast<double>(z >> 11) * 0x1.0p-53;
   if (u >= st.config.rate) return false;
   ++st.counts.fired[i];
-  st.quiet_until[i] = n + st.config.cooldown;
+  quiet_until = n + st.config.cooldown;
+  if (shot != nullptr) *shot = stream != nullptr ? id : st.counts.fired[i];
   return true;
 }
 
-double fault_corrupt_value(std::uint64_t fired_index) {
-  return fired_index % 2 == 0 ? std::nan("") : 0x1.0p100;
+double fault_corrupt_value(std::uint64_t shot) {
+  return shot % 2 == 0 ? std::nan("") : 0x1.0p100;
 }
 
-std::uint64_t fault_corrupt_index(FaultSite site, std::uint64_t fired_index,
-                                  std::uint64_t extent) {
+std::uint64_t fault_corrupt_index(FaultSite site, std::uint64_t shot, std::uint64_t extent) {
   if (extent == 0) return 0;
-  return hash3(0x5eedULL + static_cast<std::uint64_t>(site), fired_index, extent) % extent;
+  return hash3(0x5eedULL + static_cast<std::uint64_t>(site), shot, extent) % extent;
 }
+
+std::uint64_t fault_next_batch() {
+  State& st = state();
+  const MutexLock lock(st.mutex);
+  return st.batches++;
+}
+
+FaultStreamScope::FaultStreamScope(std::uint64_t batch, std::uint64_t chunk)
+    : batch_(batch), chunk_(chunk), previous_(g_stream) {
+  g_stream = this;
+}
+
+FaultStreamScope::~FaultStreamScope() { g_stream = previous_; }
 
 FaultCounts fault_counts() {
   State& st = state();
@@ -157,6 +181,7 @@ void fault_reset() {
   st.loaded = true;
   st.counts = FaultCounts{};
   for (auto& q : st.quiet_until) q = 0;
+  st.batches = 0;
 }
 
 }  // namespace subspar

@@ -17,6 +17,12 @@
 // verify; `sites` restricts firing to a subset (letters a/s/r/w/i/q per the
 // FaultSite enum, default all).
 //
+// Invocations are counted per stream. Outside any FaultStreamScope a site
+// draws from one global counter. The solvers run the chunks of a solve batch
+// concurrently and key each chunk's draws to its own stream — (batch number,
+// chunk index), with its own counters and cooldown — so which invocation of
+// which chunk fires does not depend on how the chunks are scheduled.
+//
 // With SUBSPAR_FAULT unset the harness is inert: fault_fire() returns false
 // and instrumented code paths are bit-identical to an uninstrumented build.
 #pragma once
@@ -44,19 +50,45 @@ const char* fault_site_name(FaultSite site);
 /// fault_reset()).
 bool fault_injection_enabled();
 
-/// Advances the site's invocation counter and reports whether the schedule
-/// fires a fault at this invocation. Deterministic for a fixed seed;
-/// thread-safe; always false when the harness is disarmed.
-bool fault_fire(FaultSite site);
+/// Advances the site's invocation counter in the calling thread's stream and
+/// reports whether the schedule fires a fault at this invocation. When it
+/// fires and `shot` is given, *shot receives the fault's deterministic
+/// identity: the site's global fire count outside a stream, the hash of
+/// (batch, chunk, invocation number) inside one. Deterministic for a fixed
+/// seed; thread-safe; always false when the harness is disarmed.
+bool fault_fire(FaultSite site, std::uint64_t* shot = nullptr);
 
-/// Deterministic corruption value for the site's k-th fired fault:
-/// alternates a quiet NaN with a huge finite value so both garbage kinds
-/// (non-finite and wildly wrong) exercise the guards.
-double fault_corrupt_value(std::uint64_t fired_index);
+/// Deterministic corruption value for the fault identified by `shot`:
+/// alternates a quiet NaN with a huge finite value on its parity so both
+/// garbage kinds (non-finite and wildly wrong) exercise the guards.
+double fault_corrupt_value(std::uint64_t shot);
 
-/// Deterministic entry index in [0, extent) for the site's k-th fired fault.
-std::uint64_t fault_corrupt_index(FaultSite site, std::uint64_t fired_index,
-                                  std::uint64_t extent);
+/// Deterministic entry index in [0, extent) for the fault identified by
+/// `shot`.
+std::uint64_t fault_corrupt_index(FaultSite site, std::uint64_t shot, std::uint64_t extent);
+
+/// Number of the next solve batch, the first half of a stream key. Counts
+/// from 0 since arm/reset.
+std::uint64_t fault_next_batch();
+
+/// RAII: the calling thread draws from stream (batch, chunk) until the scope
+/// ends — one chunk of a solve batch, with fresh per-site invocation
+/// counters and cooldowns. The global FaultCounts still count its
+/// invocations and fires. Scopes nest; the previous stream is restored.
+class FaultStreamScope {
+ public:
+  FaultStreamScope(std::uint64_t batch, std::uint64_t chunk);
+  ~FaultStreamScope();
+  FaultStreamScope(const FaultStreamScope&) = delete;
+  FaultStreamScope& operator=(const FaultStreamScope&) = delete;
+
+ private:
+  friend bool fault_fire(FaultSite site, std::uint64_t* shot);
+  std::uint64_t batch_, chunk_;
+  std::uint64_t invocations_[kFaultSiteCount] = {};
+  std::uint64_t quiet_until_[kFaultSiteCount] = {};
+  FaultStreamScope* previous_;
+};
 
 struct FaultCounts {
   std::uint64_t invocations[kFaultSiteCount] = {};

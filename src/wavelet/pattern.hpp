@@ -46,26 +46,11 @@ class SymmetricEntryAccumulator {
     records_.push_back({std::min(i, j) * n_ + std::max(i, j), v});
   }
 
-  /// Assembles the averaged entries and releases the records. The stable
-  /// sort keeps each entry's measurements in record order, so every sum is
-  /// the same sequence of additions as accumulating them in place.
-  SparseMatrix build() {
-    std::stable_sort(records_.begin(), records_.end(),
-                     [](const Record& a, const Record& b) { return a.key < b.key; });
-    SparseBuilder builder(n_, n_);
-    for (std::size_t r = 0; r < records_.size();) {
-      const std::size_t key = records_[r].key;
-      double sum = 0.0;
-      std::size_t count = 0;
-      for (; r < records_.size() && records_[r].key == key; ++r, ++count) sum += records_[r].value;
-      const std::size_t i = key / n_, j = key % n_;
-      const double v = sum / static_cast<double>(count);
-      builder.add(i, j, v);
-      if (i != j) builder.add(j, i, v);
-    }
-    std::vector<Record>().swap(records_);
-    return SparseMatrix(builder);
-  }
+  /// Assembles the averaged entries, dropping exact zeros, and releases the
+  /// records. The stable sort keeps each entry's measurements in record
+  /// order, so every sum is the same sequence of additions as accumulating
+  /// them in place.
+  SparseMatrix build();
 
  private:
   struct Record {

@@ -3,9 +3,14 @@
 // the preconditioner behaviour behind Table 2.1.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
+#include <functional>
+#include <memory>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "geometry/layout_gen.hpp"
@@ -13,9 +18,12 @@
 #include "substrate/eigen_solver.hpp"
 #include "substrate/fd_solver.hpp"
 #include "substrate/multigrid.hpp"
+#include "substrate/solve_chunks.hpp"
 #include "transform/poisson.hpp"
 #include "substrate/solver.hpp"
 #include "substrate/stack.hpp"
+#include "util/cancel.hpp"
+#include "util/fault.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 
@@ -838,6 +846,178 @@ TEST(SolveMany, ExtractDenseBitIdenticalAcrossThreadCounts) {
   const Matrix g4 = extract_dense(solver);
   set_thread_count(1);
   EXPECT_EQ((g1 - g4).max_abs(), 0.0);
+}
+
+// ------------------------------------------------- concurrent solve chunks
+
+Matrix random_voltages(std::size_t n, std::size_t k, std::uint64_t seed) {
+  Rng rng(seed);
+  Matrix v(n, k);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j < k; ++j) v(i, j) = rng.normal();
+  return v;
+}
+
+void expect_diagnostics_equal(const SolverDiagnostics& a, const SolverDiagnostics& b) {
+  EXPECT_EQ(a.iterations, b.iterations);
+  EXPECT_EQ(a.max_iteration_hits, b.max_iteration_hits);
+  EXPECT_EQ(a.restarts, b.restarts);
+  EXPECT_EQ(a.tighter_restarts, b.tighter_restarts);
+  EXPECT_EQ(a.direct_columns, b.direct_columns);
+  EXPECT_EQ(a.nonfinite_recoveries, b.nonfinite_recoveries);
+  EXPECT_EQ(a.worst_residual, b.worst_residual);
+}
+
+TEST(SolveMany, MultiChunkBatchBitIdenticalAcrossThreadCounts) {
+  // k = 40 is three chunks (16, 16, 8), which run concurrently at 4
+  // threads. Currents and merged diagnostics must match the sequential run
+  // bit for bit. Each run gets a fresh solver: the starved FD solver sends
+  // every chunk down the fallback chain at once, so at 4 threads the chunks
+  // race to build its lazy IC(0) and dense factors.
+  const Layout l8 = regular_grid_layout(8), small = regular_grid_layout(4, 1.0);
+  using Make = std::function<std::unique_ptr<SubstrateSolver>()>;
+  const std::vector<std::pair<std::string, Make>> cases = {
+      {"surface", [&] { return std::make_unique<SurfaceSolver>(l8, shallow_stack()); }},
+      {"fd",
+       [&] {
+         return std::make_unique<FdSolver>(l8, fd_stack(Backplane::kGrounded),
+                                           FdSolverOptions{.grid_h = 2.0});
+       }},
+      {"starved fd",
+       [&] {
+         return std::make_unique<FdSolver>(
+             small, fd_stack(Backplane::kGrounded),
+             FdSolverOptions{.grid_h = 2.0, .precond = FdPreconditioner::kNone,
+                             .max_iterations = 2});
+       }},
+  };
+  for (const auto& [name, make] : cases) {
+    SCOPED_TRACE(name);
+    const auto run = [&](std::size_t threads) {
+      const std::unique_ptr<SubstrateSolver> solver = make();
+      const Matrix v = random_voltages(solver->n_contacts(), 40, 94);
+      set_thread_count(threads);
+      const Matrix currents = solver->solve_many(v);
+      set_thread_count(1);
+      return std::make_pair(currents, solver->diagnostics());
+    };
+    const auto [i1, d1] = run(1);
+    const auto [i4, d4] = run(4);
+    EXPECT_GT(d1.iterations, 0);
+    if (name == "starved fd") {
+      EXPECT_GT(d1.tighter_restarts, 0);
+      EXPECT_GT(d1.direct_columns, 0);
+    }
+    EXPECT_EQ((i1 - i4).max_abs(), 0.0);
+    expect_diagnostics_equal(d1, d4);
+  }
+}
+
+TEST(SolveChunks, ChunksRunUnderTheCallersTokenAndMergeInChunkOrder) {
+  CancelToken token;
+  const CancelScope scope(&token);
+  std::vector<const CancelToken*> seen(3, nullptr);
+  std::vector<std::thread::id> ran_on(3);
+  std::vector<std::size_t> widths(3, 0);
+  std::atomic<int> started{0};
+  SolverDiagnostics diag;
+  IterationTally tally;
+  set_thread_count(4);
+  run_solve_chunks(
+      40,
+      [&](std::size_t j0, std::size_t kc, RobustSolveReport& report) {
+        const std::size_t c = j0 / kMaxSolveBlock;
+        // Hold each chunk until all three have started, so they run on
+        // three threads: the caller and two pool workers.
+        ++started;
+        const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (started.load() < 3 && std::chrono::steady_clock::now() < give_up)
+          std::this_thread::yield();
+        seen[c] = current_cancel_token();
+        ran_on[c] = std::this_thread::get_id();
+        widths[c] = kc;
+        report.iterations = c + 1;
+        report.clean = false;
+        report.worst_residual = static_cast<double>(c);
+      },
+      diag, tally);
+  set_thread_count(1);
+  ASSERT_EQ(started.load(), 3);
+  EXPECT_NE(ran_on[0], ran_on[1]);
+  EXPECT_NE(ran_on[1], ran_on[2]);
+  EXPECT_NE(ran_on[0], ran_on[2]);
+  for (const CancelToken* t : seen) EXPECT_EQ(t, &token);
+  EXPECT_EQ(widths, (std::vector<std::size_t>{16, 16, 8}));
+  EXPECT_EQ(diag.iterations, 1 + 2 + 3);
+  EXPECT_EQ(diag.worst_residual, 2.0);
+  EXPECT_EQ(tally.column_iterations, 16 * 1 + 16 * 2 + 8 * 3);
+  EXPECT_EQ(tally.columns, 40);
+}
+
+TEST(SolveChunks, FirstFailingChunkIsRethrownAfterTheChunksBeforeItMerge) {
+  SolverDiagnostics diag;
+  IterationTally tally;
+  set_thread_count(4);
+  try {
+    run_solve_chunks(
+        48,
+        [&](std::size_t j0, std::size_t, RobustSolveReport& report) {
+          const std::size_t c = j0 / kMaxSolveBlock;
+          report.iterations = 10;
+          if (c >= 1) throw std::runtime_error("chunk " + std::to_string(c));
+        },
+        diag, tally);
+    ADD_FAILURE() << "no chunk error propagated";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()), "chunk 1");
+  }
+  set_thread_count(1);
+  EXPECT_EQ(diag.iterations, 10);
+  EXPECT_EQ(tally.columns, 16);
+}
+
+// Cancels a k = 40 solve_many from another thread once its chunks are
+// iterating (the operator applies advance the fault harness's invocation
+// count even when it is disarmed).
+void expect_cancel_mid_solve(const SubstrateSolver& solver) {
+  const Matrix v = random_voltages(solver.n_contacts(), 40, 95);
+  CancelToken token;
+  const auto applies = [] {
+    return fault_counts().invocations[static_cast<int>(FaultSite::kSolverApply)];
+  };
+  const std::uint64_t before = applies();
+  std::atomic<bool> done{false};
+  std::thread canceller([&] {
+    while (!done.load() && applies() < before + 3) std::this_thread::yield();
+    token.cancel();
+  });
+  set_thread_count(4);
+  try {
+    const CancelScope scope(&token);
+    solver.solve_many(v);
+    ADD_FAILURE() << "the solve finished before the cancel reached it";
+  } catch (const CancelledError& e) {
+    EXPECT_EQ(e.where(), "pcg_block");
+  }
+  done.store(true);
+  canceller.join();
+  set_thread_count(1);
+}
+
+TEST(SolveMany, CancelDuringMultiChunkSurfaceSolveThrowsCancelledError) {
+  // Unpreconditioned at a tight tolerance, n = 1024: ~50 block iterations
+  // of ~3 ms each, against a cancel issued during the first.
+  const Layout l = regular_grid_layout(32);
+  expect_cancel_mid_solve(SurfaceSolver(
+      l, paper_stack(40.0, 0.5, 1.0), {.rel_tol = 1e-12, .contact_block_precond = false}));
+}
+
+TEST(SolveMany, CancelDuringMultiChunkFdSolveThrowsCancelledError) {
+  // Unpreconditioned at a tight tolerance: hundreds of block iterations.
+  const Layout l = regular_grid_layout(8);
+  expect_cancel_mid_solve(FdSolver(l, fd_stack(Backplane::kGrounded),
+                                   {.grid_h = 1.0, .precond = FdPreconditioner::kNone,
+                                    .rel_tol = 1e-12}));
 }
 
 TEST(SurfaceSolver, PreconditionerBlocksAreSymmetric) {
