@@ -37,6 +37,7 @@ int main(int argc, char** argv) {
   };
 
   Table table({"preconditioner", "avg iterations", "time/solve (ms)", "paper iters"});
+  bool all_converged = true;
   Rng rng(11);
   std::vector<Vector> workload;
   for (int t = 0; t < 12; ++t) {
@@ -53,16 +54,24 @@ int main(int argc, char** argv) {
     const auto solver = make_solver(SolverKind::kFd, layout, stack,
                                     {.fd = {.grid_h = 2.0, .precond = row.kind}});
     Timer t;
-    // Non-convergence (FdSolver raises std::runtime_error) becomes an
-    // annotated row instead of killing the driver — every preconditioner
-    // row runs to completion either way.
+    // Non-convergence (FdSolver raises std::runtime_error, or PCG exhausts
+    // its iteration budget and the fallback chain recovers the column)
+    // becomes an annotated row instead of killing the driver — every
+    // preconditioner row runs to completion, and the exit status is
+    // nonzero.
     bool converged = true;
     try {
       for (const Vector& v : workload) solver->solve(v);
+      if (solver->diagnostics().max_iteration_hits > 0) {
+        std::printf("[%s: %ld solve(s) exhausted the PCG iteration budget]\n", row.name,
+                    solver->diagnostics().max_iteration_hits);
+        converged = false;
+      }
     } catch (const std::runtime_error& e) {
       std::printf("[%s: %s]\n", row.name, e.what());
       converged = false;
     }
+    all_converged = all_converged && converged;
     const double per_solve = 1e3 * t.seconds() / static_cast<double>(workload.size());
     const double iters = dynamic_cast<const FdSolver&>(*solver).avg_iterations();
     table.add_row({row.name,
@@ -76,5 +85,5 @@ int main(int argc, char** argv) {
       "magnitude and plain CG by two; pure-Dirichlet is the weakest fast\n"
       "variant (the paper found the area-weighted p best, Neumann close —\n"
       "the Neumann/area ordering is stack- and stencil-sensitive).\n");
-  return 0;
+  return all_converged ? 0 : 1;
 }

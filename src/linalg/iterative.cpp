@@ -65,7 +65,10 @@ Vector pcg(const LinearOp& a, const Vector& b, const IterOptions& opt, IterStats
   for (std::size_t it = 0; it < opt.max_iterations; ++it) {
     const Vector ap = a(p);
     const double pap = dot(p, ap);
-    SUBSPAR_ENSURE(pap > 0.0);  // operator (or preconditioner) not SPD otherwise
+    // A non-positive or NaN curvature means the operator (or the
+    // preconditioner) is not SPD, or an apply returned garbage: return
+    // unconverged and let the caller escalate.
+    if (!(pap > 0.0)) break;
     const double alpha = rz / pap;
     x.axpy(alpha, p);
     r.axpy(-alpha, ap);
@@ -152,12 +155,6 @@ Matrix pcg_block(const LinearOpMany& a, const Matrix& b, const IterOptions& opt,
   // live Gram of the recurrence.
   Matrix p = precond ? precond->apply_many(r) : r;
   Matrix s = matmul_tn(p, r);
-  // Stagnation watchdog: if the worst residual has not halved within a
-  // window, the search directions have degenerated — recompute the true
-  // residual and restart the recurrence from the current iterate.
-  constexpr std::size_t kStallWindow = 50;
-  double stall_ref = 0.0;
-  std::size_t stall_it = 0;
   std::vector<double> rs;  // per-column residual sums of squares
   for (std::size_t it = 0; it < opt.max_iterations; ++it) {
     // Cooperative cancellation/deadline checkpoint: a long solve on a large
@@ -216,25 +213,7 @@ Matrix pcg_block(const LinearOpMany& a, const Matrix& b, const IterOptions& opt,
       bnorm = std::move(next_bnorm);
       xa = select_cols(xa, keep);
       r = select_cols(r, keep);
-      // p is not compacted: every post-deflation path below restarts the
-      // recurrence with p = z.
-    }
-
-    if (worst <= 0.5 * stall_ref || stall_ref == 0.0) {
-      stall_ref = worst;
-      stall_it = it;
-    }
-    if (it - stall_it >= kStallWindow) {
-      // True-residual restart: one extra operator apply, only on stall.
-      r = a(xa);
-      r *= -1.0;
-      for (std::size_t j = 0; j < active.size(); ++j)
-        for (std::size_t i = 0; i < n; ++i) r(i, j) += b(i, active[j]);
-      p = precond ? precond->apply_many(r) : r;
-      s = matmul_tn(p, r);
-      stall_ref = worst;
-      stall_it = it;
-      continue;
+      // p is not compacted: the recurrence restarts below with p = z.
     }
 
     Matrix z = precond ? precond->apply_many(r) : r;

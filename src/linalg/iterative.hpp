@@ -65,7 +65,8 @@ struct IterOptions {
 
 /// Preconditioned conjugate gradient for SPD A (and SPD preconditioner
 /// M^{-1}, passed as an operator; identity if omitted). Returns the solution
-/// and fills `stats`.
+/// and fills `stats`. A curvature p'Ap that is not positive (an operator
+/// that is not SPD, or a NaN apply) ends the solve unconverged.
 Vector pcg(const LinearOp& a, const Vector& b, const IterOptions& opt, IterStats* stats,
            const LinearOp& precond = nullptr);
 
@@ -83,7 +84,9 @@ struct BlockIterStats {
 /// per-column tolerance as pcg(). Near-dependence inside the block (e.g. a
 /// converged column) is handled by a spectral pseudo-inverse of the small
 /// k x k Gram systems, so the method never breaks down. Zero columns of b
-/// return zero columns. Deterministic for any SUBSPAR_THREADS.
+/// return zero columns. A non-finite residual ends the solve unconverged;
+/// recovery from a stalled or corrupted block is the caller's (see
+/// robust_pcg_block). Deterministic for any SUBSPAR_THREADS.
 /// Preconditioning goes through the blockwise Preconditioner interface
 /// (nullptr = identity); wrap ad-hoc callables in FunctionPreconditioner.
 Matrix pcg_block(const LinearOpMany& a, const Matrix& b, const IterOptions& opt,

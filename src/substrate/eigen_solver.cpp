@@ -17,10 +17,6 @@ namespace subspar {
 namespace {
 constexpr double kPi = 3.14159265358979323846;
 
-/// Size gate for the dense direct-solve fallback: materializing and
-/// factoring the restricted panel operator is O(p^2) memory / O(p^3) work.
-constexpr std::size_t kMaxDirectDim = 4096;
-
 // Panel-averaging factor for mode m over M panels:
 // mean over a panel of cos(m pi x / a) relative to its center value.
 double sinc_factor(std::size_t m, std::size_t panels) {

@@ -32,10 +32,6 @@ class FastPoissonPreconditioner final : public Preconditioner {
   FastPoisson3D fp_;
 };
 
-/// Size gate for the dense direct-solve fallback (O(n^2) memory, O(n^3)
-/// factorization over the full grid).
-constexpr std::size_t kMaxDirectDim = 4096;
-
 /// Tighter-preconditioner stage of the fallback chain: an RCM-reordered
 /// IC(0) factor built lazily on first use, so healthy runs under the cheap
 /// fast-Poisson / multigrid preconditioners never pay for it.
@@ -150,7 +146,8 @@ struct FdSolver::Impl {
     }
     Matrix x = robust_chunk(b, report);
     report.iterations += stats.iterations;
-    if (!stats.converged) ++report.max_iteration_hits;
+    if (!stats.converged && stats.iterations >= options.max_iterations)
+      ++report.max_iteration_hits;
     if (!finite) ++report.nonfinite_events;
     return x;
   }
@@ -327,9 +324,7 @@ FdSolver::FdSolver(const Layout& layout, const SubstrateStack& stack, FdSolverOp
     case FdPreconditioner::kNone:
       break;
     case FdPreconditioner::kIncompleteCholesky:
-      im.precond = std::make_unique<Ic0Preconditioner>(
-          im.a, options.reorder == SparseReorder::kRcm ? rcm_ordering(im.a)
-                                                       : std::vector<std::size_t>{});
+      im.precond = std::make_unique<Ic0Preconditioner>(im.a, rcm_ordering(im.a));
       break;
     case FdPreconditioner::kMultigrid: {
       GridSpec spec;
@@ -343,10 +338,7 @@ FdSolver::FdSolver(const Layout& layout, const SubstrateStack& stack, FdSolverOp
         if (is_contact[k]) spec.g_top[k] = im.g_contact;
       spec.g_bottom = g_bottom;
       if (!options.wells.empty()) spec.removed = removed;
-      MultigridOptions mg_options;
-      mg_options.smoother = options.mg_smoother;
-      mg_options.smoothing_sweeps = options.mg_smoothing_sweeps;
-      im.multigrid = std::make_unique<GridMultigrid>(std::move(spec), mg_options);
+      im.multigrid = std::make_unique<GridMultigrid>(std::move(spec));
       im.precond = std::make_unique<MultigridPreconditioner>(*im.multigrid);
       break;
     }
@@ -381,15 +373,12 @@ std::size_t FdSolver::n_contacts() const { return impl_->layout.n_contacts(); }
 std::string FdSolver::cache_tag() const {
   const FdSolverOptions& o = impl_->options;
   char buf[160];
-  // The sparse-engine knobs (reorder, multigrid smoother/sweeps) cannot
-  // change the operator G beyond solver tolerance, but they select
-  // different preconditioners — digest them so perf A/B runs get distinct
-  // cache entries too. The SIMD backend is deliberately NOT part of the
-  // tag (all backends agree to solver tolerance).
-  std::snprintf(buf, sizeof buf, "|%a|%d|%a|%zu|%d|%d|%d|%d", o.grid_h,
-                static_cast<int>(o.precond), o.rel_tol, o.max_iterations,
-                o.ghost_half_spacing ? 1 : 0, static_cast<int>(o.reorder),
-                static_cast<int>(o.mg_smoother), o.mg_smoothing_sweeps);
+  // The preconditioner cannot change the operator G beyond solver
+  // tolerance, but it is digested so A/B runs get distinct cache entries.
+  // The SIMD backend is deliberately NOT part of the tag (all backends
+  // agree to solver tolerance).
+  std::snprintf(buf, sizeof buf, "|%a|%d|%a|%zu|%d", o.grid_h, static_cast<int>(o.precond),
+                o.rel_tol, o.max_iterations, o.ghost_half_spacing ? 1 : 0);
   std::string tag = name() + buf;
   for (const SubstrateWell& w : o.wells) {
     std::snprintf(buf, sizeof buf, "|%a,%a,%a,%a,%a", w.x0, w.y0, w.width, w.height, w.depth);

@@ -11,9 +11,10 @@
 
 #include <cstddef>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "geometry/layout.hpp"
-#include "substrate/multigrid.hpp"
 #include "substrate/solver.hpp"
 #include "substrate/stack.hpp"
 
@@ -21,11 +22,12 @@ namespace subspar {
 
 enum class FdPreconditioner {
   kNone,
-  kIncompleteCholesky,  ///< ICCG baseline (§2.2.2)
+  kIncompleteCholesky,  ///< ICCG baseline (§2.2.2), factored in RCM order
   kFastDirichlet,       ///< fast Poisson solver, p = 1
   kFastNeumann,         ///< fast Poisson solver, p = 0
   kFastAreaWeighted,    ///< fast Poisson solver, p = contact-area fraction
-  kMultigrid,           ///< geometric V-cycle (the §2.2.2 future-work idea)
+  kMultigrid,           ///< geometric V-cycle (the §2.2.2 future-work idea), one
+                        ///< symmetric lexicographic Gauss-Seidel sweep per level
 };
 
 /// A well: a rectangular indentation in the top substrate surface (§2.1,
@@ -37,13 +39,6 @@ enum class FdPreconditioner {
 struct SubstrateWell {
   double x0 = 0.0, y0 = 0.0, width = 0.0, height = 0.0;
   double depth = 0.0;
-};
-
-/// Symmetric sparse-matrix reordering applied before factoring (the IC(0)
-/// preconditioner branch of the batched sparse engine).
-enum class SparseReorder {
-  kNone,  ///< natural (grid-lexicographic) ordering
-  kRcm,   ///< reverse Cuthill-McKee: narrow band, wider solve level sets
 };
 
 struct FdSolverOptions {
@@ -60,16 +55,6 @@ struct FdSolverOptions {
   /// preconditioners' exactness (they still work as approximations) and are
   /// invisible to the sparsifiers — exactly the black-box genericity claim.
   std::vector<SubstrateWell> wells{};
-  /// IC(0) branch: ordering the factor is computed in. RCM (the default)
-  /// keeps the preconditioner mathematically equivalent in quality while
-  /// making the level-scheduled triangular solves cache-friendly and
-  /// parallel; kNone factors in natural grid order.
-  SparseReorder reorder = SparseReorder::kRcm;
-  /// Multigrid branch: Gauss-Seidel sweep ordering of the batched V-cycle
-  /// smoother (kRedBlack parallelizes each half-sweep) and the number of
-  /// pre/post sweeps per level.
-  MultigridSmoother mg_smoother = MultigridSmoother::kGaussSeidel;
-  int mg_smoothing_sweeps = 1;
 };
 
 class FdSolver : public SubstrateSolver {

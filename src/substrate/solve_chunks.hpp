@@ -24,6 +24,11 @@ namespace subspar {
 /// part of the block-Krylov arithmetic: another width gives other bits.
 inline constexpr std::size_t kMaxSolveBlock = 16;
 
+/// Size gate for the dense direct-solve fallback at the end of both
+/// solvers' chains: the system (FD grid nodes, or surface panels) is
+/// densified and Cholesky-factored, O(n^2) memory and O(n^3) work.
+inline constexpr std::size_t kMaxDirectDim = 4096;
+
 /// A fallback factor (dense Cholesky, IC(0), ...) built on first use and
 /// then shared read-only by every chunk. Concurrent chunks may need it at
 /// once: the first builds it under the mutex and the others wait for it.

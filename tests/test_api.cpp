@@ -199,14 +199,18 @@ TEST(ModelCacheTest, DifferentRequestsAndSolversGetDifferentKeys) {
   EXPECT_NE(model_cache_key(layout, stack, a, "surface"),
             model_cache_key(layout, stack, a, "fd"));
   // Same solver kind, different construction options: cache_tag() keys them
-  // apart (different grid spacing / wells discretize a different G).
+  // apart (different grid spacing / wells discretize a different G; another
+  // preconditioner reaches it along another path).
   const auto fd_coarse = make_solver(SolverKind::kFd, layout, stack);
   const auto fd_fine = make_solver(SolverKind::kFd, layout, stack, {.fd = {.grid_h = 1.0}});
   const auto fd_paper_ghost =
       make_solver(SolverKind::kFd, layout, stack, {.fd = {.ghost_half_spacing = false}});
+  const auto fd_ic0 = make_solver(SolverKind::kFd, layout, stack,
+                                  {.fd = {.precond = FdPreconditioner::kIncompleteCholesky}});
   EXPECT_EQ(fd_coarse->name(), fd_fine->name());
   EXPECT_NE(fd_coarse->cache_tag(), fd_fine->cache_tag());
   EXPECT_NE(fd_coarse->cache_tag(), fd_paper_ghost->cache_tag());
+  EXPECT_NE(fd_coarse->cache_tag(), fd_ic0->cache_tag());
   EXPECT_EQ(fd_coarse->cache_tag(),
             make_solver(SolverKind::kFd, layout, stack)->cache_tag());
   // Same content, fresh objects: equal keys (the hash is content-based).

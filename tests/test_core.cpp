@@ -323,5 +323,17 @@ TEST_P(MethodSweep, ModelsAreSymmetricOperators) {
 INSTANTIATE_TEST_SUITE_P(Methods, MethodSweep,
                          ::testing::Values(SparsifyMethod::kWavelet, SparsifyMethod::kLowRank));
 
+TEST(Extractor, LowRankIrregularLayoutSolvesWithinTheIterationLimit) {
+  // One chunk of this extraction is a batch of roundoff-level right-hand
+  // sides that block PCG cannot solve; the fallback chain's direct solve
+  // recovers it. pcg_block must hand it over early instead of iterating
+  // to the limit (restarting on every 50-iteration stall did, 3 times).
+  CoreFixture f(irregular_layout(8, 0.6, 5));
+  const SparsifiedModel model = f.extract({.method = SparsifyMethod::kLowRank});
+  EXPECT_EQ(f.solver.diagnostics().max_iteration_hits, 0);
+  EXPECT_EQ(model.solves_used(), 86);
+  EXPECT_EQ(f.solver.solve_count(), 86);
+}
+
 }  // namespace
 }  // namespace subspar

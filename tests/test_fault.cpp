@@ -186,6 +186,38 @@ TEST(RobustPcg, TransientGarbageIsDetectedAndRetried) {
   EXPECT_LT((matmul(a, x) - b).max_abs() / b.max_abs(), 1e-8);
 }
 
+TEST_F(FaultEnv, CorruptedScalarPcgApplyEscalatesIntoTheChain) {
+  // One-column FD solves run the scalar pcg. A NaN operator apply makes its
+  // curvature p'Ap NaN: the solve must end unconverged and escalate into
+  // the fallback chain, which recovers the column or throws the typed
+  // error, never an internal invariant failure (std::logic_error).
+  const Layout l = regular_grid_layout(4);
+  const SubstrateStack st({{4.0, 1.0}, {4.0, 10.0}}, Backplane::kGrounded);
+  const FdSolver solver(l, st, {.grid_h = 2.0});
+  std::vector<Vector> voltages, clean;
+  for (std::size_t c = 0; c < 20; ++c) {
+    Vector v(l.n_contacts());
+    v[c % l.n_contacts()] = 1.0;
+    v[(3 * c + 1) % l.n_contacts()] -= 0.5;
+    clean.push_back(solver.solve(v));
+    voltages.push_back(std::move(v));
+  }
+  arm("5:0.2:0:a");
+  int recovered = 0;
+  for (std::size_t c = 0; c < voltages.size(); ++c) {
+    try {
+      const Vector i = solver.solve(voltages[c]);
+      EXPECT_LT(norm_inf(i - clean[c]), 1e-4 * norm_inf(clean[c])) << "solve " << c;
+      ++recovered;
+    } catch (const SolverConvergenceError&) {
+    } catch (const std::logic_error& e) {
+      ADD_FAILURE() << "solve " << c << " threw an invariant failure: " << e.what();
+    }
+  }
+  EXPECT_GT(fault_fired(FaultSite::kSolverApply), 0u);
+  EXPECT_GT(recovered, 0);
+}
+
 // -------------------------------------------------- cache corruption paths
 
 // A small extraction rig (cheap: 64 contacts, surface solver).
