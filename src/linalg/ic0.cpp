@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "util/check.hpp"
-#include "util/parallel.hpp"
 
 namespace subspar {
 
@@ -95,40 +94,6 @@ Vector ic0_solve(const SparseMatrix& la, const Vector& b) {
   return x;
 }
 
-namespace {
-
-// Groups rows into dependency levels: level(i) = 1 + max level over the
-// off-diagonal entries of row i (entries of `m` strictly below/above the
-// diagonal depending on the sweep direction), bucketed CSR-style. Rows are
-// scanned in `forward` order so dependencies are already levelled.
-void schedule_levels(const SparseMatrix& m, bool forward, std::vector<std::size_t>& ptr,
-                     std::vector<std::size_t>& rows) {
-  const std::size_t n = m.rows();
-  std::vector<std::size_t> level(n, 0);
-  std::size_t nlevels = 0;
-  for (std::size_t t = 0; t < n; ++t) {
-    const std::size_t i = forward ? t : n - 1 - t;
-    std::size_t lv = 0;
-    for (std::size_t e = m.row_begin(i); e < m.row_end(i); ++e) {
-      const std::size_t j = m.col_index(e);
-      if (j == i) continue;
-      lv = std::max(lv, level[j] + 1);
-    }
-    level[i] = lv;
-    nlevels = std::max(nlevels, lv + 1);
-  }
-  ptr.assign(n == 0 ? 1 : nlevels + 1, 0);
-  for (std::size_t i = 0; i < n; ++i) ++ptr[level[i] + 1];
-  for (std::size_t l = 0; l + 1 < ptr.size(); ++l) ptr[l + 1] += ptr[l];
-  rows.resize(n);
-  std::vector<std::size_t> fill(ptr.begin(), ptr.end() - 1);
-  // Ascending row index within each level (i ascending fills buckets in
-  // order), for a deterministic, cache-friendly schedule.
-  for (std::size_t i = 0; i < n; ++i) rows[fill[level[i]]++] = i;
-}
-
-}  // namespace
-
 Ic0Factor ic0_factor(const SparseMatrix& a) {
   Ic0Factor f;
   f.l = ic0(a);
@@ -142,8 +107,6 @@ Ic0Factor ic0_factor(const SparseMatrix& a) {
     SUBSPAR_ENSURE(f.l.col_index(e) == i && f.l.value(e) != 0.0);
     f.inv_diag[i] = 1.0 / f.l.value(e);
   }
-  schedule_levels(f.l, /*forward=*/true, f.fwd_ptr, f.fwd_rows);
-  schedule_levels(f.lt, /*forward=*/false, f.bwd_ptr, f.bwd_rows);
   return f;
 }
 
@@ -153,43 +116,32 @@ Matrix ic0_solve_many(const Ic0Factor& f, const Matrix& b) {
   SUBSPAR_REQUIRE(b.rows() == n);
   Matrix x = b;
   if (n == 0 || k == 0) return x;
-  // Forward: L y = b. Rows of one level are independent (their off-diagonal
-  // columns all lie in earlier levels), so each level is one parallel_for;
-  // a row's k columns are swept in its contiguous slice.
-  for (std::size_t l = 0; l + 1 < f.fwd_ptr.size(); ++l) {
-    const std::size_t r0 = f.fwd_ptr[l], r1 = f.fwd_ptr[l + 1];
-    parallel_for(r1 - r0, [&](std::size_t t) {
-      const std::size_t i = f.fwd_rows[r0 + t];
-      double* xi = x.row_ptr(i);
-      const std::size_t e0 = f.l.row_begin(i), e1 = f.l.row_end(i) - 1;  // diag last
-      const double d = f.inv_diag[i];
-      // Scalar reduction per column in ascending entry order: the same
-      // operation sequence for every k, so batched columns are
-      // bit-identical to 1-column solves.
-      for (std::size_t j = 0; j < k; ++j) {
-        double s = xi[j];
-        for (std::size_t e = e0; e < e1; ++e)
-          s -= f.l.value(e) * x.row_ptr(f.l.col_index(e))[j];
-        xi[j] = s * d;
-      }
-    });
+  // Forward: L y = b, rows in ascending order; a row's k columns are swept
+  // in its contiguous slice. Scalar reduction per column in ascending entry
+  // order: the same operation sequence for every k, so batched columns are
+  // bit-identical to 1-column solves.
+  for (std::size_t i = 0; i < n; ++i) {
+    double* xi = x.row_ptr(i);
+    const std::size_t e0 = f.l.row_begin(i), e1 = f.l.row_end(i) - 1;  // diag last
+    const double d = f.inv_diag[i];
+    for (std::size_t j = 0; j < k; ++j) {
+      double s = xi[j];
+      for (std::size_t e = e0; e < e1; ++e) s -= f.l.value(e) * x.row_ptr(f.l.col_index(e))[j];
+      xi[j] = s * d;
+    }
   }
-  // Backward: L' x = y, gathered from the rows of L' (first entry of row i
-  // of L' is the diagonal; the rest are columns > i, already solved).
-  for (std::size_t l = 0; l + 1 < f.bwd_ptr.size(); ++l) {
-    const std::size_t r0 = f.bwd_ptr[l], r1 = f.bwd_ptr[l + 1];
-    parallel_for(r1 - r0, [&](std::size_t t) {
-      const std::size_t i = f.bwd_rows[r0 + t];
-      double* xi = x.row_ptr(i);
-      const std::size_t e0 = f.lt.row_begin(i) + 1, e1 = f.lt.row_end(i);  // diag first
-      const double d = f.inv_diag[i];
-      for (std::size_t j = 0; j < k; ++j) {
-        double s = xi[j];
-        for (std::size_t e = e0; e < e1; ++e)
-          s -= f.lt.value(e) * x.row_ptr(f.lt.col_index(e))[j];
-        xi[j] = s * d;
-      }
-    });
+  // Backward: L' x = y, rows in descending order, gathered from the rows of
+  // L' (first entry of row i of L' is the diagonal; the rest are columns
+  // > i, already solved).
+  for (std::size_t i = n; i-- > 0;) {
+    double* xi = x.row_ptr(i);
+    const std::size_t e0 = f.lt.row_begin(i) + 1, e1 = f.lt.row_end(i);  // diag first
+    const double d = f.inv_diag[i];
+    for (std::size_t j = 0; j < k; ++j) {
+      double s = xi[j];
+      for (std::size_t e = e0; e < e1; ++e) s -= f.lt.value(e) * x.row_ptr(f.lt.col_index(e))[j];
+      xi[j] = s * d;
+    }
   }
   return x;
 }

@@ -62,7 +62,7 @@ struct FdSolver::Impl {
 
   SparseMatrix a;  // grid-of-resistors Laplacian
   // The sparse engine's preconditioner branch (fast-Poisson / batched
-  // multigrid / RCM-reordered level-scheduled IC(0)); null = plain CG.
+  // multigrid / RCM-reordered IC(0)); null = plain CG.
   // The multigrid hierarchy outlives its non-owning preconditioner wrapper.
   std::unique_ptr<GridMultigrid> multigrid;
   std::unique_ptr<Preconditioner> precond;

@@ -1,5 +1,5 @@
 // Tests for CSR sparse matrices, the batched SpMM engine, RCM reordering,
-// and the (level-scheduled) IC(0) preconditioner.
+// and the IC(0) preconditioner.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -422,9 +422,9 @@ TEST(Sparse, FromDenseEmptyAndAllDroppedInputs) {
   EXPECT_DOUBLE_EQ(SparseMatrix::from_dense(Matrix()).sparsity_factor(), 0.0);
 }
 
-// ------------------------------------------------- level-scheduled IC(0)
+// ------------------------------------------------- IC(0) sweeps
 
-TEST(Ic0Levels, SolveManyBitIdenticalToSingleColumns) {
+TEST(Ic0Sweep, SolveManyBitIdenticalToSingleColumns) {
   const SparseMatrix a = grid2d_laplacian(12, 9);
   const Ic0Factor f = ic0_factor(a);
   Rng rng(370);
@@ -438,9 +438,9 @@ TEST(Ic0Levels, SolveManyBitIdenticalToSingleColumns) {
   }
 }
 
-TEST(Ic0Levels, MatchesSerialReferenceSolve) {
-  // The level-scheduled sweeps must compute the same triangular solves as
-  // the serial single-vector ic0_solve (to rounding).
+TEST(Ic0Sweep, MatchesSerialReferenceSolve) {
+  // The batched sweeps must compute the same triangular solves as the
+  // serial single-vector ic0_solve (to rounding).
   const SparseMatrix a = grid2d_laplacian(10, 10);
   const SparseMatrix la = ic0(a);
   const Ic0Factor f = ic0_factor(a);
@@ -452,26 +452,7 @@ TEST(Ic0Levels, MatchesSerialReferenceSolve) {
   EXPECT_LT(norm2(serial - scheduled), 1e-12 * norm2(serial));
 }
 
-TEST(Ic0Levels, ScheduleRespectsDependencies) {
-  // Every off-diagonal entry of a row of L must reference a row of an
-  // earlier forward level (and of L' an earlier backward level).
-  const SparseMatrix a = grid2d_laplacian(8, 7);
-  const Ic0Factor f = ic0_factor(a);
-  std::vector<std::size_t> flevel(f.rows()), blevel(f.rows());
-  for (std::size_t l = 0; l + 1 < f.fwd_ptr.size(); ++l)
-    for (std::size_t q = f.fwd_ptr[l]; q < f.fwd_ptr[l + 1]; ++q) flevel[f.fwd_rows[q]] = l;
-  for (std::size_t l = 0; l + 1 < f.bwd_ptr.size(); ++l)
-    for (std::size_t q = f.bwd_ptr[l]; q < f.bwd_ptr[l + 1]; ++q) blevel[f.bwd_rows[q]] = l;
-  for (std::size_t i = 0; i < f.rows(); ++i) {
-    for (std::size_t e = f.l.row_begin(i); e + 1 < f.l.row_end(i); ++e)
-      EXPECT_LT(flevel[f.l.col_index(e)], flevel[i]);
-    for (std::size_t e = f.lt.row_begin(i) + 1; e < f.lt.row_end(i); ++e)
-      EXPECT_LT(blevel[f.lt.col_index(e)], blevel[i]);
-  }
-  EXPECT_GT(f.forward_levels(), 1u);
-}
-
-TEST(Ic0Levels, SolveManyBitIdenticalAcrossThreadCounts) {
+TEST(Ic0Sweep, SolveManyBitIdenticalAcrossThreadCounts) {
   const SparseMatrix a = grid2d_laplacian(16, 16);
   const Ic0Factor f = ic0_factor(a);
   Rng rng(372);
