@@ -152,25 +152,10 @@ Vector ic0_solve(const Ic0Factor& f, const Vector& b) {
   return ic0_solve_many(f, bm).col(0);
 }
 
-Ic0Preconditioner::Ic0Preconditioner(const SparseMatrix& a, std::vector<std::size_t> perm)
-    : perm_(std::move(perm)),
-      factor_(perm_.empty() ? ic0_factor(a) : ic0_factor(a.permuted(perm_))) {}
+Ic0Preconditioner::Ic0Preconditioner(const SparseMatrix& a) : factor_(ic0_factor(a)) {}
 
 Matrix Ic0Preconditioner::apply_many(const Matrix& r) const {
-  if (perm_.empty()) return ic0_solve_many(factor_, r);
-  const std::size_t n = factor_.rows();
-  const std::size_t k = r.cols();
-  SUBSPAR_REQUIRE(r.rows() == n);
-  // z = P' (L L')^{-1} P r: gather rows by the permutation, solve on the
-  // reordered factor, scatter back.
-  Matrix rp(n, k);
-  for (std::size_t i = 0; i < n; ++i)
-    std::copy(r.row_ptr(perm_[i]), r.row_ptr(perm_[i]) + k, rp.row_ptr(i));
-  const Matrix yp = ic0_solve_many(factor_, rp);
-  Matrix z(n, k);
-  for (std::size_t i = 0; i < n; ++i)
-    std::copy(yp.row_ptr(i), yp.row_ptr(i) + k, z.row_ptr(perm_[i]));
-  return z;
+  return ic0_solve_many(factor_, r);
 }
 
 }  // namespace subspar

@@ -8,8 +8,8 @@
 // The batched engine entry points are Ic0Factor (the factor, its
 // transpose and reciprocal diagonal) and ic0_solve_many, which sweeps k
 // right-hand sides through one sequential forward and one backward
-// substitution. Ic0Preconditioner packages factor + optional symmetric
-// reordering (RCM) behind the Preconditioner interface.
+// substitution. Ic0Preconditioner packages the factor behind the
+// Preconditioner interface.
 #pragma once
 
 #include <cstddef>
@@ -55,24 +55,17 @@ Matrix ic0_solve_many(const Ic0Factor& f, const Matrix& b);
 /// Single-vector wrapper (1-column ic0_solve_many).
 Vector ic0_solve(const Ic0Factor& f, const Vector& b);
 
-/// IC(0) behind the blockwise Preconditioner interface, optionally on a
-/// symmetrically permuted matrix: with a permutation p (typically
-/// rcm_ordering(a)), the factor is built from P A P' and applied as
-/// z = P' (L L')^{-1} P r, which is again symmetric positive definite.
-/// RCM shrinks the factor's bandwidth.
+/// IC(0) behind the blockwise Preconditioner interface: the factor of `a`
+/// in the order it is given, applied as z = (L L')^{-1} r.
 class Ic0Preconditioner final : public Preconditioner {
  public:
-  /// Factors `a` directly (empty perm) or P A P' (perm = p, a permutation
-  /// of [0, a.rows())).
-  explicit Ic0Preconditioner(const SparseMatrix& a, std::vector<std::size_t> perm = {});
+  explicit Ic0Preconditioner(const SparseMatrix& a);
 
   Matrix apply_many(const Matrix& r) const override;
 
   const Ic0Factor& factor() const { return factor_; }
-  const std::vector<std::size_t>& permutation() const { return perm_; }
 
  private:
-  std::vector<std::size_t> perm_;  // empty = natural ordering
   Ic0Factor factor_;
 };
 

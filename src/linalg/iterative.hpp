@@ -26,8 +26,8 @@ using LinearOpMany = std::function<Matrix(const Matrix&)>;
 /// Implementations must be symmetric positive definite as operators (PCG
 /// requirement), deterministic, and bit-identical for any SUBSPAR_THREADS;
 /// apply_many on a 1-column matrix is the single-vector action. Concrete
-/// engines: Ic0Preconditioner (linalg/ic0.hpp, batched triangular sweeps
-/// on an RCM-permuted factor), MultigridPreconditioner
+/// engines: Ic0Preconditioner (linalg/ic0.hpp, batched triangular
+/// sweeps), MultigridPreconditioner
 /// (substrate/multigrid.hpp, batched V-cycles), and the fast-Poisson and
 /// block-Jacobi wrappers inside the substrate solvers.
 class Preconditioner {

@@ -9,7 +9,6 @@
 #include "linalg/cholesky.hpp"
 #include "linalg/ic0.hpp"
 #include "linalg/iterative.hpp"
-#include "linalg/reorder.hpp"
 #include "linalg/robust.hpp"
 #include "linalg/sparse.hpp"
 #include "substrate/multigrid.hpp"
@@ -32,15 +31,15 @@ class FastPoissonPreconditioner final : public Preconditioner {
   FastPoisson3D fp_;
 };
 
-/// Tighter-preconditioner stage of the fallback chain: an RCM-reordered
-/// IC(0) factor built lazily on first use, so healthy runs under the cheap
+/// Tighter-preconditioner stage of the fallback chain: an IC(0) factor of
+/// the matrix as assembled, built lazily on first use, so healthy runs under the cheap
 /// fast-Poisson / multigrid preconditioners never pay for it.
 class LazyIc0Preconditioner final : public Preconditioner {
  public:
   explicit LazyIc0Preconditioner(const SparseMatrix& a) : a_(&a) {}
   Matrix apply_many(const Matrix& r) const override {
     return inner_
-        .get([&] { return std::make_unique<Ic0Preconditioner>(*a_, rcm_ordering(*a_)); })
+        .get([&] { return std::make_unique<Ic0Preconditioner>(*a_); })
         .apply_many(r);
   }
 
@@ -62,7 +61,7 @@ struct FdSolver::Impl {
 
   SparseMatrix a;  // grid-of-resistors Laplacian
   // The sparse engine's preconditioner branch (fast-Poisson / batched
-  // multigrid / RCM-reordered IC(0)); null = plain CG.
+  // multigrid / IC(0)); null = plain CG.
   // The multigrid hierarchy outlives its non-owning preconditioner wrapper.
   std::unique_ptr<GridMultigrid> multigrid;
   std::unique_ptr<Preconditioner> precond;
@@ -324,7 +323,7 @@ FdSolver::FdSolver(const Layout& layout, const SubstrateStack& stack, FdSolverOp
     case FdPreconditioner::kNone:
       break;
     case FdPreconditioner::kIncompleteCholesky:
-      im.precond = std::make_unique<Ic0Preconditioner>(im.a, rcm_ordering(im.a));
+      im.precond = std::make_unique<Ic0Preconditioner>(im.a);
       break;
     case FdPreconditioner::kMultigrid: {
       GridSpec spec;

@@ -22,7 +22,7 @@ namespace subspar {
 
 enum class FdPreconditioner {
   kNone,
-  kIncompleteCholesky,  ///< ICCG baseline (§2.2.2), factored in RCM order
+  kIncompleteCholesky,  ///< ICCG baseline (§2.2.2), factored in assembly order
   kFastDirichlet,       ///< fast Poisson solver, p = 1
   kFastNeumann,         ///< fast Poisson solver, p = 0
   kFastAreaWeighted,    ///< fast Poisson solver, p = contact-area fraction
@@ -82,8 +82,8 @@ class FdSolver : public SubstrateSolver {
   Vector do_solve(const Vector& contact_voltages) const override;
   /// Batched solve: blocked PCG over column chunks, the operator applied
   /// as one row-partitioned SpMM and the preconditioner as one blockwise
-  /// Preconditioner::apply_many per iteration (IC(0) sweeps on the
-  /// RCM-permuted factor, batched multigrid V-cycles, or threaded
+  /// Preconditioner::apply_many per iteration (IC(0) sweeps, batched
+  /// multigrid V-cycles, or threaded
   /// fast-Poisson solves). Throws std::runtime_error if PCG fails to
   /// converge within options.max_iterations.
   Matrix do_solve_many(const Matrix& contact_voltages) const override;

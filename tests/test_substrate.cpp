@@ -475,6 +475,34 @@ TEST(FdSolver, WelledSubstrateStillSymmetricAndDominant) {
   for (std::size_t i = 0; i < g.rows(); ++i) EXPECT_GT(g(i, i), 0.0);
 }
 
+TEST(FdSolver, IncompleteCholeskyOnAWelledGrid) {
+  // IC(0) as the primary preconditioner over a grid with removed nodes:
+  // the factor of the assembled matrix (identity rows included) must still
+  // precondition, and agree with the fast-solver branch.
+  const Layout l = regular_grid_layout(4);
+  FdSolverOptions opt{.grid_h = 2.0};
+  opt.wells.push_back({14.0, 4.0, 4.0, 24.0, 4.0});
+  const SubstrateStack st = fd_stack(Backplane::kGrounded);
+  opt.precond = FdPreconditioner::kIncompleteCholesky;
+  const FdSolver ic0(l, st, opt);
+  opt.precond = FdPreconditioner::kNone;
+  const FdSolver plain(l, st, opt);
+  opt.precond = FdPreconditioner::kFastAreaWeighted;
+  const FdSolver fast(l, st, opt);
+  Rng rng(9);
+  Vector v(l.n_contacts());
+  for (auto& x : v) x = rng.normal();
+  const Vector i_ic0 = ic0.solve(v);
+  plain.solve(v);
+  const Vector i_fast = fast.solve(v);
+  const SolverDiagnostics& d = ic0.diagnostics();
+  EXPECT_EQ(d.max_iteration_hits, 0);
+  EXPECT_EQ(d.restarts, 0);
+  EXPECT_EQ(d.direct_columns, 0);
+  EXPECT_LT(ic0.avg_iterations(), plain.avg_iterations());
+  EXPECT_LT(norm2(i_ic0 - i_fast), 1e-4 * norm2(i_fast));
+}
+
 
 // ---------------------------------------------------------------- multigrid
 
