@@ -341,12 +341,6 @@ double SurfaceSolver::avg_iterations() const { return impl_->tally.average(); }
 
 void SurfaceSolver::reset_iteration_stats() const { impl_->tally = IterationTally{}; }
 
-Vector SurfaceSolver::do_solve(const Vector& contact_voltages) const {
-  Matrix v(contact_voltages.size(), 1);
-  v.set_col(0, contact_voltages);
-  return impl_->solve_block(v, diag()).col(0);
-}
-
 Matrix SurfaceSolver::do_solve_many(const Matrix& contact_voltages) const {
   return impl_->solve_block(contact_voltages, diag());
 }

@@ -66,7 +66,6 @@ class SurfaceSolver : public SubstrateSolver {
   void reset_iteration_stats() const;
 
  protected:
-  Vector do_solve(const Vector& contact_voltages) const override;
   /// Batched solve: one blocked PCG over all columns (chunked to a small
   /// block width). Each operator application runs the restricted transforms
   /// of every column as one SUBSPAR_THREADS pool task per column; a

@@ -399,12 +399,6 @@ Vector FdSolver::solve_volume(const Vector& contact_voltages) const {
   return impl_->solve_volume(v, diag());
 }
 
-Vector FdSolver::do_solve(const Vector& contact_voltages) const {
-  Matrix v(contact_voltages.size(), 1);
-  v.set_col(0, contact_voltages);
-  return impl_->solve_currents(v, diag()).col(0);
-}
-
 Matrix FdSolver::do_solve_many(const Matrix& contact_voltages) const {
   return impl_->solve_currents(contact_voltages, diag());
 }

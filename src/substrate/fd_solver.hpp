@@ -79,12 +79,10 @@ class FdSolver : public SubstrateSolver {
   Vector solve_volume(const Vector& contact_voltages) const;
 
  protected:
-  Vector do_solve(const Vector& contact_voltages) const override;
   /// Batched solve: blocked PCG over column chunks, the operator applied
   /// as one row-partitioned SpMM and the preconditioner as one blockwise
   /// Preconditioner::apply_many per iteration (IC(0) sweeps, batched
-  /// multigrid V-cycles, or threaded
-  /// fast-Poisson solves). Throws std::runtime_error if PCG fails to
+  /// multigrid V-cycles, or threaded fast-Poisson solves). Throws std::runtime_error if PCG fails to
   /// converge within options.max_iterations.
   Matrix do_solve_many(const Matrix& contact_voltages) const override;
 

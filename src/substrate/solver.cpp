@@ -47,11 +47,10 @@ Matrix SubstrateSolver::solve_many(const Matrix& contact_voltages) const {
   return do_solve_many(contact_voltages);
 }
 
-Matrix SubstrateSolver::do_solve_many(const Matrix& contact_voltages) const {
-  Matrix out(n_contacts(), contact_voltages.cols());
-  for (std::size_t j = 0; j < contact_voltages.cols(); ++j)
-    out.set_col(j, do_solve(contact_voltages.col(j)));
-  return out;
+Vector SubstrateSolver::do_solve(const Vector& contact_voltages) const {
+  Matrix v(contact_voltages.size(), 1);
+  v.set_col(0, contact_voltages);
+  return do_solve_many(v).col(0);
 }
 
 Matrix extract_dense(const SubstrateSolver& solver) {

@@ -50,9 +50,9 @@ class SubstrateSolver {
   /// Applies G to k voltage vectors at once (the columns of
   /// `contact_voltages`, an n_contacts x k matrix). Counts as k black-box
   /// solves — the paper's solve-reduction factors are unchanged by
-  /// batching. The base implementation loops over do_solve(); solvers
-  /// override do_solve_many() to share work across the columns (blocked
-  /// PCG, batched transforms, thread fan-out). Results for each column
+  /// batching. Solvers implement do_solve_many() to share work across the
+  /// columns (blocked PCG, batched transforms, thread fan-out). Results for
+  /// each column
   /// agree with solve() of that column to solver tolerance, and are
   /// bit-identical across SUBSPAR_THREADS settings.
   Matrix solve_many(const Matrix& contact_voltages) const;
@@ -85,12 +85,13 @@ class SubstrateSolver {
   SolverDiagnostics& diag() const { return diagnostics_; }
 
   /// Implementation hook: one application of G (solve() wraps this and
-  /// maintains the solve counter).
-  virtual Vector do_solve(const Vector& contact_voltages) const = 0;
+  /// maintains the solve counter). The default runs do_solve_many() on a
+  /// one-column matrix.
+  virtual Vector do_solve(const Vector& contact_voltages) const;
 
-  /// Implementation hook for batched application; the default loops over
-  /// do_solve() column by column.
-  virtual Matrix do_solve_many(const Matrix& contact_voltages) const;
+  /// Implementation hook for batched application (solve_many() wraps this
+  /// and maintains the solve counter).
+  virtual Matrix do_solve_many(const Matrix& contact_voltages) const = 0;
 
  private:
   mutable long solve_count_ = 0;
