@@ -1,5 +1,6 @@
-// End-to-end low-rank sparsification (§4.2): phase 1 (row basis) + phase 2
-// (fine-to-coarse sweep) + G_w assembly on the conservative pattern.
+// Low-rank G_w assembly (§4.2): the last step after phase 1 (row basis)
+// and phase 2 (fine-to-coarse sweep), filling G_w on the conservative
+// pattern. The Extractor (subspar/extraction.hpp) runs the three in order.
 //
 // G_w entries come from the phase-1 representation (eq. 4.16) applied to
 // the columns of Q and projected onto the locally-interacting basis
@@ -13,23 +14,11 @@
 // against O(n^2) for one full apply per column.
 #pragma once
 
-#include <memory>
-
 #include "lowrank/fine_to_coarse.hpp"
 #include "lowrank/row_basis.hpp"
 #include "wavelet/pattern.hpp"
 
 namespace subspar {
-
-struct LowRankExtraction {
-  std::unique_ptr<RowBasisRep> rep;
-  std::unique_ptr<LowRankBasis> basis;
-  SparseMatrix gw;  ///< pattern-restricted transformed conductance matrix
-  long solves = 0;  ///< black-box solves (all consumed in phase 1)
-};
-
-LowRankExtraction lowrank_extract(const SubstrateSolver& solver, const QuadTree& tree,
-                                  LowRankOptions options = {});
 
 /// G_w assembly given an existing representation and basis.
 SparseMatrix lowrank_fill_gw(const RowBasisRep& rep, const LowRankBasis& basis);

@@ -15,6 +15,7 @@
 #include "lowrank/extract.hpp"
 #include "substrate/eigen_solver.hpp"
 #include "substrate/solver.hpp"
+#include "subspar/extraction.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "wavelet/basis.hpp"
@@ -190,24 +191,26 @@ TEST(LowRankBasis, ColumnCountEqualsContacts) {
 
 TEST(LowRankExtract, GwSymmetricAndPatternRestricted) {
   LowRankFixture f(regular_grid_layout(8));
-  const LowRankExtraction ex = lowrank_extract(f.solver, f.tree);
-  const Matrix d = ex.gw.to_dense();
+  const SparsifiedModel model = Extractor(f.solver, f.tree).extract().model;
+  const Matrix d = model.gw().to_dense();
   EXPECT_LT((d - d.transposed()).max_abs(), 1e-10 * d.max_abs());
-  const WaveletPattern pattern(*ex.basis);
-  for (const auto& [i, j] : ex.gw.coordinates()) EXPECT_TRUE(pattern.allowed(i, j));
+  // The build is deterministic, so a second one yields the model's basis.
+  const RowBasisRep rep(f.solver, f.tree);
+  const LowRankBasis basis(rep);
+  const WaveletPattern pattern(basis);
+  for (const auto& [i, j] : model.gw().coordinates()) EXPECT_TRUE(pattern.allowed(i, j));
 }
 
 TEST(LowRankExtract, AccurateOnRegularGrid) {
   LowRankFixture f(regular_grid_layout(16));
   const Matrix g = extract_dense(f.solver);
-  f.solver.reset_solve_count();
-  const LowRankExtraction ex = lowrank_extract(f.solver, f.tree);
-  const ErrorStats err = reconstruction_error(ex.basis->q(), ex.gw, g);
+  const ExtractionResult ex = Extractor(f.solver, f.tree).extract();
+  const ErrorStats err = reconstruction_error(ex.model.q(), ex.model.gw(), g);
   EXPECT_LT(err.max_rel_error, 0.10);
   // The solve count grows like O(log n) with a sizable constant: at n = 256
   // it is still below 2n, and the reduction factor grows with n (Table 4.3
   // shape, exercised by bench/table_4_3_large).
-  EXPECT_LT(ex.solves, 2 * static_cast<long>(f.layout.n_contacts()));
+  EXPECT_LT(ex.report.solves, 2 * static_cast<long>(f.layout.n_contacts()));
 }
 
 TEST(LowRankExtract, FarBetterThanWaveletOnAlternatingSizes) {
@@ -219,30 +222,29 @@ TEST(LowRankExtract, FarBetterThanWaveletOnAlternatingSizes) {
   const WaveletBasis wbasis(f.tree);
   const WaveletExtraction wex = wavelet_extract_combined(f.solver, wbasis);
   const ErrorStats werr = reconstruction_error(wbasis.q(), wex.gws, g);
-  const LowRankExtraction ex = lowrank_extract(f.solver, f.tree);
-  const ErrorStats lerr = reconstruction_error(ex.basis->q(), ex.gw, g);
+  const SparsifiedModel model = Extractor(f.solver, f.tree).extract().model;
+  const ErrorStats lerr = reconstruction_error(model.q(), model.gw(), g);
   EXPECT_LT(lerr.max_rel_error, 0.5 * werr.max_rel_error);
   EXPECT_LT(lerr.frac_above_10pct, 0.5 * werr.frac_above_10pct);
-  EXPECT_GT(ex.gw.sparsity_factor(), wex.gws.sparsity_factor());
+  EXPECT_GT(model.gw().sparsity_factor(), wex.gws.sparsity_factor());
 }
 
 TEST(LowRankExtract, HandlesMixedShapes) {
   LowRankFixture f(mixed_shapes_layout(16, 9));
   const Matrix g = extract_dense(f.solver);
-  f.solver.reset_solve_count();
-  const LowRankExtraction ex = lowrank_extract(f.solver, f.tree);
-  const ErrorStats err = reconstruction_error(ex.basis->q(), ex.gw, g);
+  const SparsifiedModel model = Extractor(f.solver, f.tree).extract().model;
+  const ErrorStats err = reconstruction_error(model.q(), model.gw(), g);
   EXPECT_LT(err.frac_above_10pct, 0.05);
 }
 
 TEST(LowRankExtract, ThresholdingKeepsMostEntriesAccurate) {
   LowRankFixture f(regular_grid_layout(16));
   const Matrix g = extract_dense(f.solver);
-  const LowRankExtraction ex = lowrank_extract(f.solver, f.tree);
-  const SparseMatrix gwt = threshold_to_nnz(ex.gw, ex.gw.nnz() / 6);
-  const ErrorStats err = reconstruction_error(ex.basis->q(), gwt, g);
+  const SparsifiedModel model = Extractor(f.solver, f.tree).extract().model;
+  const SparseMatrix gwt = threshold_to_nnz(model.gw(), model.gw().nnz() / 6);
+  const ErrorStats err = reconstruction_error(model.q(), gwt, g);
   EXPECT_LT(err.frac_above_10pct, 0.10);
-  EXPECT_GT(gwt.sparsity_factor(), 5.0 * ex.gw.sparsity_factor());
+  EXPECT_GT(gwt.sparsity_factor(), 5.0 * model.gw().sparsity_factor());
 }
 
 TEST(PositionsIn, MapsSortedSubsets) {
