@@ -1,4 +1,4 @@
-// Public header: the substrate-solver registry/factory.
+// Public header: the substrate-solver factory.
 //
 // Callers name a discretization instead of hardwiring a concrete type:
 //
@@ -6,15 +6,10 @@
 //
 // returns the black-box SubstrateSolver interface, so switching between the
 // surface eigenfunction solver, the volume finite-difference solver, and
-// the multigrid-preconditioned variant is a one-enum change (or a string,
-// for CLI/config-driven callers). Out-of-tree solvers plug in through
-// register_solver and become constructible by name alongside the built-ins.
+// the multigrid-preconditioned variant is a one-enum change.
 #pragma once
 
-#include <functional>
 #include <memory>
-#include <string>
-#include <vector>
 
 #include "geometry/layout.hpp"
 #include "substrate/eigen_solver.hpp"
@@ -44,29 +39,12 @@ struct SolverConfig {
   FdSolverOptions fd{};
 };
 
-/// Stable registry name of a built-in kind ("surface", "fd", "multigrid").
+/// Stable name of a built-in kind ("surface", "fd", "multigrid").
 const char* solver_kind_name(SolverKind kind);
 
 /// Constructs a solver of the given kind over (layout, stack).
 std::unique_ptr<SubstrateSolver> make_solver(SolverKind kind, const Layout& layout,
                                              const SubstrateStack& stack,
                                              const SolverConfig& config = {});
-
-/// Constructs a solver by registry name; throws std::invalid_argument for
-/// an unknown name (the message lists the registered names).
-std::unique_ptr<SubstrateSolver> make_solver(const std::string& name, const Layout& layout,
-                                             const SubstrateStack& stack,
-                                             const SolverConfig& config = {});
-
-/// Factory signature for registry entries.
-using SolverFactory = std::function<std::unique_ptr<SubstrateSolver>(
-    const Layout&, const SubstrateStack&, const SolverConfig&)>;
-
-/// Registers (or replaces) a named factory. The built-ins are pre-registered
-/// under their solver_kind_name()s. Thread-safe.
-void register_solver(const std::string& name, SolverFactory factory);
-
-/// Sorted names currently registered.
-std::vector<std::string> registered_solvers();
 
 }  // namespace subspar

@@ -4,7 +4,7 @@
 //
 //   subspar/geometry.hpp    contact layouts, generators, quadtree
 //   subspar/substrate.hpp   substrate stack + black-box solver interface
-//   subspar/solvers.hpp     solver registry/factory (make_solver)
+//   subspar/solvers.hpp     solver factory (make_solver)
 //   subspar/extraction.hpp  ExtractionRequest -> Extractor -> ExtractionResult
 //   subspar/status.hpp      ErrorCode/ExtractionError/Status error model
 //   subspar/model.hpp       SparsifiedModel + save_model/load_model

@@ -1,4 +1,4 @@
-// Tests for the public API layer (include/subspar/): the solver registry,
+// Tests for the public API layer (include/subspar/): the solver factory,
 // the ExtractionRequest -> ExtractionResult pipeline, and the ModelCache.
 #include <gtest/gtest.h>
 
@@ -18,9 +18,9 @@ SubstrateStack tiny_stack() {
   return SubstrateStack({{2.0, 1.0}, {10.0, 100.0}}, Backplane::kGrounded);
 }
 
-// ---- Solver registry -------------------------------------------------------
+// ---- Solver factory --------------------------------------------------------
 
-TEST(SolverRegistry, EveryKindConstructsAndSolves) {
+TEST(SolverFactory, EveryKindConstructsAndSolves) {
   const Layout layout = regular_grid_layout(4);  // 16 contacts
   const SubstrateStack stack = tiny_stack();
   Vector v(layout.n_contacts());
@@ -43,17 +43,17 @@ TEST(SolverRegistry, EveryKindConstructsAndSolves) {
   }
 }
 
-TEST(SolverRegistry, KindMatchesDirectConstructionBitExactly) {
+TEST(SolverFactory, KindMatchesDirectConstructionBitExactly) {
   const Layout layout = regular_grid_layout(4);
   const SubstrateStack stack = tiny_stack();
-  const auto via_registry = make_solver(SolverKind::kSurface, layout, stack);
+  const auto via_factory = make_solver(SolverKind::kSurface, layout, stack);
   const SurfaceSolver direct(layout, stack);
   Vector v(layout.n_contacts());
   for (std::size_t i = 0; i < v.size(); ++i) v[i] = 0.1 * static_cast<double>(i) - 0.7;
-  EXPECT_EQ(norm2(via_registry->solve(v) - direct.solve(v)), 0.0);
+  EXPECT_EQ(norm2(via_factory->solve(v) - direct.solve(v)), 0.0);
 }
 
-TEST(SolverRegistry, MultigridKindForcesMultigridPreconditioner) {
+TEST(SolverFactory, MultigridKindForcesMultigridPreconditioner) {
   const Layout layout = regular_grid_layout(4);
   const SubstrateStack stack = tiny_stack();
   // Even when the config asks for a different preconditioner, the kind wins.
@@ -65,31 +65,6 @@ TEST(SolverRegistry, MultigridKindForcesMultigridPreconditioner) {
   Vector v(layout.n_contacts());
   v[0] = 1.0;
   EXPECT_EQ(norm2(solver->solve(v) - reference->solve(v)), 0.0);
-}
-
-TEST(SolverRegistry, ByNameAndByKindAgree) {
-  const Layout layout = regular_grid_layout(4);
-  const SubstrateStack stack = tiny_stack();
-  for (const SolverKind kind : {SolverKind::kSurface, SolverKind::kFd}) {
-    const auto by_name = make_solver(std::string(solver_kind_name(kind)), layout, stack);
-    const auto by_kind = make_solver(kind, layout, stack);
-    EXPECT_EQ(by_name->name(), by_kind->name());
-  }
-  EXPECT_THROW(make_solver("no-such-solver", layout, stack), std::invalid_argument);
-}
-
-TEST(SolverRegistry, CustomRegistrationIsConstructibleByName) {
-  const std::string name = "custom-surface-loose";
-  register_solver(name, [](const Layout& l, const SubstrateStack& s, const SolverConfig& c) {
-    SurfaceSolverOptions options = c.surface;
-    options.rel_tol = 1e-3;
-    return std::make_unique<SurfaceSolver>(l, s, options);
-  });
-  const auto names = registered_solvers();
-  EXPECT_NE(std::find(names.begin(), names.end(), name), names.end());
-  const Layout layout = regular_grid_layout(4);
-  const auto solver = make_solver(name, layout, tiny_stack());
-  EXPECT_EQ(solver->n_contacts(), layout.n_contacts());
 }
 
 // ---- ExtractionRequest validation -----------------------------------------
