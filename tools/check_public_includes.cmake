@@ -1,6 +1,7 @@
-# Public-API include guard: examples/ and bench/ must compile against the
-# public surface only — every quoted include must be a subspar/* header (or
-# the bench-local common.hpp, which itself passes the same check). A direct
+# Public-API include guard: examples/, bench/ and the perfbench driver must
+# compile against the public surface only — every quoted include must be a
+# subspar/* header (or the bench-local common.hpp, which itself passes the
+# same check). A direct
 # src/-internal include ("core/extractor.hpp", "substrate/fd_solver.hpp", ...)
 # fails the build's `public_include_guard` ctest and the CI step.
 #
@@ -11,9 +12,10 @@ endif()
 
 file(GLOB guarded_files
   "${SOURCE_DIR}/examples/*.cpp" "${SOURCE_DIR}/examples/*.hpp"
-  "${SOURCE_DIR}/bench/*.cpp" "${SOURCE_DIR}/bench/*.hpp")
+  "${SOURCE_DIR}/bench/*.cpp" "${SOURCE_DIR}/bench/*.hpp"
+  "${SOURCE_DIR}/perfbench/*.cpp")
 if(NOT guarded_files)
-  message(FATAL_ERROR "no files found under ${SOURCE_DIR}/examples and ${SOURCE_DIR}/bench")
+  message(FATAL_ERROR "no files found under ${SOURCE_DIR}/examples, bench and perfbench")
 endif()
 
 set(violations "")
@@ -31,7 +33,7 @@ endforeach()
 if(violations)
   list(JOIN violations "\n  " pretty)
   message(FATAL_ERROR
-    "examples/ and bench/ must include only subspar/* public headers "
+    "examples/, bench/ and perfbench/ must include only subspar/* public headers "
     "(include/subspar/); found internal includes:\n  ${pretty}")
 endif()
 list(LENGTH guarded_files guarded_count)
