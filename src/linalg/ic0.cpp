@@ -116,33 +116,27 @@ Matrix ic0_solve_many(const Ic0Factor& f, const Matrix& b) {
   SUBSPAR_REQUIRE(b.rows() == n);
   Matrix x = b;
   if (n == 0 || k == 0) return x;
-  // Forward: L y = b, rows in ascending order; a row's k columns are swept
-  // in its contiguous slice. Scalar reduction per column in ascending entry
-  // order: the same operation sequence for every k, so batched columns are
-  // bit-identical to 1-column solves.
-  for (std::size_t i = 0; i < n; ++i) {
+  // Solves row i from the already-solved rows named by entries [e0, e1) of
+  // `m`, the k columns swept in the row's contiguous slice. Scalar
+  // reduction per column in ascending entry order: the same operation
+  // sequence for every k, so batched columns are bit-identical to 1-column
+  // solves.
+  const auto solve_row = [&](const SparseMatrix& m, std::size_t i, std::size_t e0,
+                             std::size_t e1) {
     double* xi = x.row_ptr(i);
-    const std::size_t e0 = f.l.row_begin(i), e1 = f.l.row_end(i) - 1;  // diag last
     const double d = f.inv_diag[i];
     for (std::size_t j = 0; j < k; ++j) {
       double s = xi[j];
-      for (std::size_t e = e0; e < e1; ++e) s -= f.l.value(e) * x.row_ptr(f.l.col_index(e))[j];
+      for (std::size_t e = e0; e < e1; ++e) s -= m.value(e) * x.row_ptr(m.col_index(e))[j];
       xi[j] = s * d;
     }
-  }
-  // Backward: L' x = y, rows in descending order, gathered from the rows of
-  // L' (first entry of row i of L' is the diagonal; the rest are columns
-  // > i, already solved).
-  for (std::size_t i = n; i-- > 0;) {
-    double* xi = x.row_ptr(i);
-    const std::size_t e0 = f.lt.row_begin(i) + 1, e1 = f.lt.row_end(i);  // diag first
-    const double d = f.inv_diag[i];
-    for (std::size_t j = 0; j < k; ++j) {
-      double s = xi[j];
-      for (std::size_t e = e0; e < e1; ++e) s -= f.lt.value(e) * x.row_ptr(f.lt.col_index(e))[j];
-      xi[j] = s * d;
-    }
-  }
+  };
+  // Forward: L y = b, rows ascending (the diagonal is the last entry of a
+  // row of L).
+  for (std::size_t i = 0; i < n; ++i) solve_row(f.l, i, f.l.row_begin(i), f.l.row_end(i) - 1);
+  // Backward: L' x = y, rows descending, gathered from the rows of L' (the
+  // diagonal is the first entry; the rest are columns > i, already solved).
+  for (std::size_t i = n; i-- > 0;) solve_row(f.lt, i, f.lt.row_begin(i) + 1, f.lt.row_end(i));
   return x;
 }
 

@@ -47,9 +47,9 @@ Ic0Factor ic0_factor(const SparseMatrix& a);
 
 /// X = (La La')^{-1} B for k right-hand-side columns at once: one
 /// sequential forward sweep (rows 0..n-1) and one backward sweep
-/// (rows n-1..0), the k columns of one row swept contiguously. Runs on the
-/// calling thread, so column j is bit-identical to ic0_solve_many of that
-/// column alone, for any SUBSPAR_THREADS.
+/// (rows n-1..0), the k columns of one row swept contiguously, on the
+/// calling thread. Column j is bit-identical to ic0_solve_many of that
+/// column alone, and no result depends on SUBSPAR_THREADS.
 Matrix ic0_solve_many(const Ic0Factor& f, const Matrix& b);
 
 /// Single-vector wrapper (1-column ic0_solve_many).

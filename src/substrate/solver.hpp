@@ -52,9 +52,8 @@ class SubstrateSolver {
   /// solves — the paper's solve-reduction factors are unchanged by
   /// batching. Solvers implement do_solve_many() to share work across the
   /// columns (blocked PCG, batched transforms, thread fan-out). Results for
-  /// each column
-  /// agree with solve() of that column to solver tolerance, and are
-  /// bit-identical across SUBSPAR_THREADS settings.
+  /// each column agree with solve() of that column to solver tolerance,
+  /// and are bit-identical across SUBSPAR_THREADS settings.
   Matrix solve_many(const Matrix& contact_voltages) const;
 
   /// Number of contact panels, i.e. the dimension of G.
