@@ -32,8 +32,9 @@ class FastPoissonPreconditioner final : public Preconditioner {
 };
 
 /// Tighter-preconditioner stage of the fallback chain: an IC(0) factor of
-/// the matrix as assembled, built lazily on first use, so healthy runs under the cheap
-/// fast-Poisson / multigrid preconditioners never pay for it.
+/// the matrix as assembled, built lazily on first use, so healthy runs
+/// under the cheap fast-Poisson / multigrid preconditioners never pay for
+/// it.
 class LazyIc0Preconditioner final : public Preconditioner {
  public:
   explicit LazyIc0Preconditioner(const SparseMatrix& a) : a_(&a) {}

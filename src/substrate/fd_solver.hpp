@@ -82,8 +82,9 @@ class FdSolver : public SubstrateSolver {
   /// Batched solve: blocked PCG over column chunks, the operator applied
   /// as one row-partitioned SpMM and the preconditioner as one blockwise
   /// Preconditioner::apply_many per iteration (IC(0) sweeps, batched
-  /// multigrid V-cycles, or threaded fast-Poisson solves). Throws std::runtime_error if PCG fails to
-  /// converge within options.max_iterations.
+  /// multigrid V-cycles, or threaded fast-Poisson solves). Throws
+  /// std::runtime_error if PCG fails to converge within
+  /// options.max_iterations.
   Matrix do_solve_many(const Matrix& contact_voltages) const override;
 
  private:
